@@ -8,7 +8,7 @@ Subcommands:
   verify   the cross-validation battery (quick or full scope)
 
 Exit codes: 0 success, 1 invariant violation or failed verification,
-2 bad input, 3 resource cap exceeded.
+2 bad input (including an unwritable --output), 3 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -93,9 +93,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _threads(args) -> int:
-    if getattr(args, "threads", None):
-        return args.threads
-    return int(os.environ.get("MONODYN_THREADS", "1"))
+    """--threads if given, else MONODYN_THREADS, else 1; at least 1."""
+    if args.threads is not None:
+        workers, source = args.threads, "--threads"
+    else:
+        text = os.environ.get("MONODYN_THREADS", "1")
+        try:
+            workers = int(text)
+        except ValueError:
+            raise InputRangeError(
+                f"MONODYN_THREADS must be an integer, got {text!r}"
+            ) from None
+        source = "MONODYN_THREADS"
+    if workers < 1:
+        raise InputRangeError(f"{source} must be >= 1, got {workers}")
+    return workers
 
 
 def _field_for(q: int):
@@ -277,7 +289,12 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantViolation as exc:
         print(f"invariant violated: {exc}", file=sys.stderr)
         return 1
-    _emit(text, args.output)
+    try:
+        _emit(text, args.output)
+    except OSError as exc:
+        target = args.output or "standard output"
+        print(f"error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     return code
 
 

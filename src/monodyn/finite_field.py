@@ -1,22 +1,41 @@
-"""Explicit arithmetic in GF(p**s).
+"""Explicit arithmetic in GF(p**s), with one vectorised path for every field.
 
-Field elements are plain tuples of s residues in [0, p), constant
-term first: (c0, c1, ..., c_{s-1}) stands for c0 + c1*t + ... for a
-root t of the field's defining polynomial.  A prime field uses
-one-entry tuples.  Tuples are always kept reduced, so equality and
-hashing are structural, and every operation takes the FieldSpec
-explicitly; there is no global registry of fields.
+A single element is a tuple of s residues in [0, p), constant term
+first: (c0, c1, ..., c_{s-1}) stands for c0 + c1*t + ... for a root t
+of the field's defining polynomial.  A prime field is the case s = 1.
+Tuples are always kept reduced, so equality and hashing are
+structural, and every operation takes the FieldSpec explicitly; there
+is no global registry of fields.
+
+A batch of N elements is an int64 array of shape (s, N), laid out
+coefficient-major: row i holds coefficient i of every element, so each
+step below works on contiguous length-N rows.  The arithmetic runs on
+coefficient rows, and the same loop serves one element, whose rows are
+ints, and a batch, whose rows are arrays: `mul` forms the schoolbook
+product in 2s - 1 rows, folds the degrees 2s-2 down to s back onto the
+lower rows with t**s = -(low part of the modulus), each folded row
+reduced mod p first, and reduces the s rows left mod p at the end;
+`power` squares and multiplies.  Both take element tuples or (s, N)
+batches, elementwise, and a tuple times a batch scales every element
+of the batch.  int64 cannot overflow: every product or fold term is
+below p**2, at most 2s of them add up in one row (s from the product,
+fewer than s from the fold), and q <= 2**22 bounds p**2 by 2**44 and
+2s by 44, so every entry stays below 2**50.
+
+The element index is the base-p encoding of the coefficient vector,
+constant term least significant, so 0 and 1 keep their indices.
+`to_digits` and `from_digits` convert whole index arrays, and
+`batches` walks a field in chunks of CHUNK elements, which bounds the
+working memory of `element_orders` and the graph engine's successor
+array at every field size up to FIELD_CAP.  `element_orders` needs
+only the factorization of q - 1 and batched powers: no discrete
+logarithm, generator or log table enters the brute-force route.
 
 The defining polynomial is the monic irreducible of degree s whose
-coefficient vector encodes the smallest base-p integer (constant term
-as the least significant digit), which pins the construction down
-deterministically: GF(8) gets t**3 + t + 1 and GF(9) gets t**2 + 1.
-
-Beyond the basic operations this module knows how to compute element
-orders, one by one or for the whole unit group at once; the bulk form
-is what powers the structural checks of the graph engine.  Conway
-polynomials, discrete logarithms and field embeddings are out of
-scope.
+coefficient vector encodes the smallest base-p integer, which pins the
+construction down deterministically: GF(8) gets t**3 + t + 1 and GF(9)
+gets t**2 + 1.  Conway polynomials, discrete logarithms, generators
+and field embeddings are out of scope.
 """
 
 from __future__ import annotations
@@ -27,10 +46,14 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InputRangeError, ResourceCapError
-from .numtheory import divisors, factorize, is_prime
+from .numtheory import factorize, is_prime
 
 #: Largest field that may be materialized element by element.
 FIELD_CAP = 2**22
+
+#: Elements per batch when a whole field is walked; keeps the working
+#: arrays to a few MB for every field up to FIELD_CAP.
+CHUNK = 2**15
 
 Element = tuple[int, ...]
 
@@ -141,50 +164,82 @@ def _smallest_irreducible(p: int, s: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # element operations
 
-def add(spec: FieldSpec, x: Element, y: Element) -> Element:
-    p = spec.p
-    return tuple((a + b) % p for a, b in zip(x, y))
-
-
-def _mul_coeffs(x: Element, y: Element, p: int, mod_low: tuple[int, ...]) -> Element:
-    s = len(mod_low)
+def _mul(spec: FieldSpec, x, y) -> list:
+    # x and y are s coefficient rows each, ints or int64 arrays; the
+    # same loop multiplies one element or, row by row, a whole batch
+    p, s = spec.p, spec.s
     prod = [0] * (2 * s - 1)
-    for i, xi in enumerate(x):
-        if xi:
-            for j, yj in enumerate(y):
-                prod[i + j] += xi * yj
-    # fold degrees >= s back down via x**s = -(low part of the modulus)
+    for i in range(s):
+        xi = x[i]
+        for j in range(s):
+            prod[i + j] += xi * y[j]
+    # fold degrees >= s back down via t**s = -(low part of the modulus)
+    fold = [(t, m) for t, m in enumerate(spec.modulus[:-1]) if m] if spec.modulus else []
     for k in range(2 * s - 2, s - 1, -1):
         c = prod[k] % p
-        if c:
-            base = k - s
-            for t, mt in enumerate(mod_low):
-                if mt:
-                    prod[base + t] -= c * mt
-    return tuple(c % p for c in prod[:s])
+        for t, m in fold:
+            prod[k - s + t] -= m * c
+    return [c % p for c in prod[:s]]
 
 
-def mul(spec: FieldSpec, x: Element, y: Element) -> Element:
-    if spec.s == 1:
-        return (x[0] * y[0] % spec.p,)
-    return _mul_coeffs(x, y, spec.p, spec.modulus[:-1])
-
-
-def power(spec: FieldSpec, x: Element, k: int) -> Element:
-    """x**k by square and multiply; k must be nonnegative."""
+def _power(spec: FieldSpec, x, k: int) -> list:
     if k < 0:
         raise InputRangeError("negative exponents are not supported")
-    if spec.s == 1:
-        return (pow(x[0], k, spec.p),)
-    out = spec.one()
-    base = x
+    out = None
     while k:
         if k & 1:
-            out = mul(spec, out, base)
+            out = x if out is None else _mul(spec, out, x)
         k >>= 1
         if k:
-            base = mul(spec, base, base)
+            x = _mul(spec, x, x)
+    if out is None:  # k == 0: the one of the field, shaped like x
+        out = [c * 0 for c in x]
+        out[0] = out[0] + 1
     return out
+
+
+def _pack(rows: list):
+    return np.array(rows) if isinstance(rows[0], np.ndarray) else tuple(rows)
+
+
+def mul(spec: FieldSpec, x: Element | np.ndarray, y: Element | np.ndarray):
+    """x * y for element tuples or, elementwise, (s, N) batches.
+
+    A tuple times a batch multiplies every element of the batch by it.
+    Two tuples give a tuple, anything else an (s, N) batch.
+    """
+    return _pack(_mul(spec, x, y))
+
+
+def power(spec: FieldSpec, x: Element | np.ndarray, k: int):
+    """x**k for an element tuple or, elementwise, an (s, N) batch.
+
+    Square and multiply; k must be nonnegative.
+    """
+    return _pack(_power(spec, x, k))
+
+
+def to_digits(spec: FieldSpec, idx: np.ndarray) -> np.ndarray:
+    """The (s, N) batch of the elements with the given indices."""
+    out = np.empty((spec.s, len(idx)), dtype=np.int64)
+    for i in range(spec.s):
+        idx, out[i] = np.divmod(idx, spec.p)
+    return out
+
+
+def from_digits(spec: FieldSpec, x: np.ndarray) -> np.ndarray:
+    """Element indices of an (s, N) batch."""
+    idx = x[-1].copy()
+    for row in x[-2::-1]:
+        idx *= spec.p
+        idx += row
+    return idx
+
+
+def batches(spec: FieldSpec, start: int = 0):
+    """Batches of the elements with index start..q-1, CHUNK at a time."""
+    for lo in range(start, spec.q, CHUNK):
+        yield to_digits(spec, np.arange(lo, min(lo + CHUNK, spec.q), dtype=np.int64))
 
 
 def element_index(spec: FieldSpec, x: Element) -> int:
@@ -206,45 +261,26 @@ def index_element(spec: FieldSpec, i: int) -> Element:
     return tuple(coeffs)
 
 
-def element_order(spec: FieldSpec, x: Element) -> int:
-    """Multiplicative order of a nonzero element; always divides q - 1."""
-    if x == spec.zero():
-        raise InputRangeError("the zero element has no multiplicative order")
-    one = spec.one()
-    o = spec.q - 1
-    for pf, _ in factorize(spec.q - 1).factors:
-        while o % pf == 0 and power(spec, x, o // pf) == one:
-            o //= pf
-    return o
-
-
-def _vec_powmod(base: np.ndarray, k: int, p: int) -> np.ndarray:
-    # elementwise base**k mod p; products stay below 2**44 for p <= 2**22
-    out = np.ones_like(base)
-    b = base % p
-    while k:
-        if k & 1:
-            out = out * b % p
-        k >>= 1
-        if k:
-            b = b * b % p
-    return out
-
-
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def element_orders(spec: FieldSpec) -> tuple[int, ...]:
-    """Orders of all elements, indexed by element_index; slot 0 holds 0."""
-    if spec.s == 1:
-        p = spec.p
-        xs = np.arange(1, p, dtype=np.int64)
-        ords = np.zeros(p - 1, dtype=np.int64)
-        for d in divisors(p - 1):
-            left = ords == 0
-            if not left.any():
-                break
-            hit = left & (_vec_powmod(xs, d, p) == 1)
-            ords[hit] = d
-        return (0,) + tuple(ords.tolist())
-    return (0,) + tuple(
-        element_order(spec, index_element(spec, i)) for i in range(1, spec.q)
-    )
+    """Orders of all elements, indexed by element_index; slot 0 holds 0.
+
+    For each prime power l**e exactly dividing q - 1, y = x**((q-1)/l**e)
+    has order the l-part of the order of x, which is l**j for the number
+    j of steps y, y**l, y**(l**2), ... that are not yet 1.  Callers take
+    one field at a time, so only the last table is kept: near the cap a
+    table holds about 4M entries.
+    """
+    q = spec.q
+    factors = factorize(q - 1).factors
+    out = [0]
+    for x in batches(spec, 1):
+        orders = np.ones(x.shape[1], dtype=np.int64)
+        for l, e in factors:
+            y = _power(spec, x, (q - 1) // l**e)
+            for j in range(e):
+                if j:
+                    y = _power(spec, y, l)
+                orders[from_digits(spec, y) != 1] *= l
+        out.extend(orders.tolist())
+    return tuple(out)

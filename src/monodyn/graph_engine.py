@@ -20,16 +20,15 @@ from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
-import numpy as np
-
 from . import monomial
 from .errors import InputRangeError, InvariantViolation
 from .finite_field import (
     Element,
     FieldSpec,
-    _vec_powmod,
+    batches,
     element_index,
     element_orders,
+    from_digits,
     index_element,
     mul,
     power,
@@ -80,19 +79,14 @@ class OrbitStructure:
 
 
 def successor_array(sys: DynSystem) -> list[int]:
-    """successor[i] = element_index(f(element i))."""
+    """successor[i] = element_index(f(element i)), one batch at a time."""
     spec = sys.field
-    if spec.s == 1:
-        p = spec.p
-        img = _vec_powmod(np.arange(p, dtype=np.int64), sys.n, p)
-        a0 = sys.a[0]
-        if a0 != 1:
-            img = img * a0 % p
-        return img.tolist()
-    out = [0] * spec.q
-    for i in range(1, spec.q):
-        y = mul(spec, sys.a, power(spec, index_element(spec, i), sys.n))
-        out[i] = element_index(spec, y)
+    out: list[int] = []
+    for x in batches(spec):
+        y = power(spec, x, sys.n)
+        if sys.a != spec.one():
+            y = mul(spec, sys.a, y)
+        out.extend(from_digits(spec, y).tolist())
     return out
 
 

@@ -131,3 +131,76 @@ def exact_periods_by_iteration(successor: list[int]) -> dict[int, int]:
                 period[x] = r
         cur = [successor[y] for y in cur]
     return period
+
+
+# ---------------------------------------------------------------------------
+# scalar GF(p**s) arithmetic, one element tuple at a time
+#
+# Only the field's data is read from the package's FieldSpec (p, s, q and
+# the modulus); the arithmetic is the plain schoolbook algorithm on
+# tuples, independent of the batched arrays in monodyn.finite_field.
+
+
+def field_add(spec, x: tuple, y: tuple) -> tuple:
+    return tuple((a + b) % spec.p for a, b in zip(x, y))
+
+
+def scalar_mul(spec, x: tuple, y: tuple) -> tuple:
+    p, s = spec.p, spec.s
+    if s == 1:
+        return (x[0] * y[0] % p,)
+    mod_low = spec.modulus[:-1]
+    prod = [0] * (2 * s - 1)
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            prod[i + j] += xi * yj
+    # t**s = -(low part of the modulus)
+    for k in range(2 * s - 2, s - 1, -1):
+        c = prod[k] % p
+        for t, mt in enumerate(mod_low):
+            prod[k - s + t] -= c * mt
+    return tuple(c % p for c in prod[:s])
+
+
+def scalar_power(spec, x: tuple, k: int) -> tuple:
+    if spec.s == 1:
+        return (pow(x[0], k, spec.p),)
+    out = (1,) + (0,) * (spec.s - 1)
+    while k:
+        if k & 1:
+            out = scalar_mul(spec, out, x)
+        k >>= 1
+        if k:
+            x = scalar_mul(spec, x, x)
+    return out
+
+
+def digits(spec, i: int) -> tuple:
+    return tuple((i // spec.p**j) % spec.p for j in range(spec.s))
+
+
+def undigits(spec, x: tuple) -> int:
+    return sum(c * spec.p**j for j, c in enumerate(x))
+
+
+def scalar_successor(spec, n: int, a_index: int) -> list[int]:
+    """Index of a * x**n for every element index x, one element at a time."""
+    if spec.s == 1:
+        return [a_index * pow(i, n, spec.p) % spec.p for i in range(spec.q)]
+    a = digits(spec, a_index)
+    return [
+        undigits(spec, scalar_mul(spec, a, scalar_power(spec, digits(spec, i), n)))
+        for i in range(spec.q)
+    ]
+
+
+def element_order(spec, x: tuple) -> int:
+    """Multiplicative order of a nonzero element; always divides q - 1."""
+    if not any(x):
+        raise ValueError("the zero element has no multiplicative order")
+    one = (1,) + (0,) * (spec.s - 1)
+    o = spec.q - 1
+    for pf in naive_factor(spec.q - 1):
+        while o % pf == 0 and scalar_power(spec, x, o // pf) == one:
+            o //= pf
+    return o

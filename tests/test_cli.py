@@ -63,6 +63,15 @@ class TestAnalyze:
         assert code == 2
         assert "prime power" in err
 
+    def test_unwritable_output_is_bad_input(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = run(
+            capsys, "analyze", "--q", "7", "--n", "2", "--output", str(target)
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and str(target) in err
+        assert "Traceback" not in err
+
     def test_reruns_are_byte_identical(self, capsys):
         _, first, _ = run(capsys, "analyze", "--q", "49", "--n", "3", "--brute")
         _, second, _ = run(capsys, "analyze", "--q", "49", "--n", "3", "--brute")
@@ -152,6 +161,34 @@ class TestSweep:
         _, serial, _ = run(capsys, *base)
         _, parallel, _ = run(capsys, *base, "--threads", "3")
         assert serial == parallel
+
+
+    def test_zero_threads_rejected(self, capsys, monkeypatch):
+        # an explicit 0 is refused, not replaced by the environment value
+        monkeypatch.setenv("MONODYN_THREADS", "1")
+        code, out, err = run(
+            capsys, "sweep", "--r", "1", "--n", "2", "--t", "100", "--threads", "0"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "0" in err
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
+    def test_bad_threads_environment_rejected(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("MONODYN_THREADS", value)
+        for argv in (
+            ("sweep", "--r", "1", "--n", "2", "--t", "100"),
+            ("verify", "--scope", "quick"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "", (argv, value)
+            assert err.startswith("error:") and "MONODYN_THREADS" in err
+
+    def test_threads_flag_overrides_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("MONODYN_THREADS", "abc")
+        code, _, _ = run(
+            capsys, "sweep", "--r", "1", "--n", "2", "--t", "100", "--threads", "1"
+        )
+        assert code == 0
 
 
 class TestFfield:

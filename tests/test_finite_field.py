@@ -1,22 +1,26 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from monodyn import finite_field
 from monodyn.errors import InputRangeError, ResourceCapError
 from monodyn.finite_field import (
     FIELD_CAP,
-    add,
     element_index,
-    element_order,
     element_orders,
+    from_digits,
     index_element,
     make_field,
     mul,
     power,
+    to_digits,
     _is_irreducible,
 )
 from monodyn.function_field import irreducible_count
-from monodyn.numtheory import divisors, euler_phi
+from monodyn.numtheory import divisors, euler_phi, prime_powers_up_to
+
+from oracles import element_order, field_add, scalar_mul, scalar_power
 
 
 SMALL_FIELDS = [(7, 1), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (13, 1)]
@@ -98,7 +102,7 @@ class TestArithmetic:
         z = index_element(spec, data.draw(idx))
         assert mul(spec, x, y) == mul(spec, y, x)
         assert mul(spec, mul(spec, x, y), z) == mul(spec, x, mul(spec, y, z))
-        assert mul(spec, x, add(spec, y, z)) == add(
+        assert mul(spec, x, field_add(spec, y, z)) == field_add(
             spec, mul(spec, x, y), mul(spec, x, z)
         )
         assert mul(spec, x, spec.one()) == x
@@ -149,33 +153,110 @@ class TestIndexing:
                 assert element_index(spec, index_element(spec, i)) == i
 
 
+class TestBatches:
+    def test_digits_round_trip(self):
+        for p, s in SMALL_FIELDS:
+            spec = make_field(p, s)
+            idx = np.arange(spec.q, dtype=np.int64)
+            x = to_digits(spec, idx)
+            assert x.shape == (s, spec.q)
+            assert [tuple(col) for col in x.T.tolist()] == [
+                index_element(spec, i) for i in range(spec.q)
+            ]
+            assert from_digits(spec, x).tolist() == idx.tolist()
+
+    def test_batch_arithmetic_matches_scalar_oracle(self):
+        # every pair (x, y) of a small field as one batch against the
+        # tuple-at-a-time schoolbook arithmetic of the oracle
+        for p, s in SMALL_FIELDS + [(2, 8), (47, 2)]:
+            spec = make_field(p, s)
+            q = spec.q
+            xs = np.repeat(np.arange(q, dtype=np.int64), min(q, 16))
+            ys = (xs * 7 + np.arange(len(xs), dtype=np.int64)) % q
+            got = from_digits(spec, mul(spec, to_digits(spec, xs), to_digits(spec, ys)))
+            want = [
+                element_index(spec, scalar_mul(spec, index_element(spec, i), index_element(spec, j)))
+                for i, j in zip(xs.tolist(), ys.tolist())
+            ]
+            assert got.tolist() == want, (p, s)
+            for k in (0, 1, 2, 5, q - 2, q - 1, 3 * q + 1):
+                got = from_digits(spec, power(spec, to_digits(spec, np.arange(q)), k))
+                want = [
+                    element_index(spec, scalar_power(spec, index_element(spec, i), k))
+                    for i in range(q)
+                ]
+                assert got.tolist() == want, (p, s, k)
+
+    def test_element_times_batch(self):
+        spec = make_field(3, 3)
+        xs = to_digits(spec, np.arange(spec.q, dtype=np.int64))
+        a = index_element(spec, 17)
+        want = [
+            element_index(spec, scalar_mul(spec, a, index_element(spec, i)))
+            for i in range(spec.q)
+        ]
+        assert from_digits(spec, mul(spec, a, xs)).tolist() == want
+        column = np.array(a, dtype=np.int64)[:, None]
+        assert from_digits(spec, mul(spec, column, xs)).tolist() == want
+
+    def test_return_types(self):
+        spec = make_field(2, 4)
+        xs = to_digits(spec, np.arange(spec.q, dtype=np.int64))
+        x = index_element(spec, 7)
+        for k in (0, 1, 3):
+            assert type(power(spec, x, k)) is tuple
+            assert all(type(c) is int for c in power(spec, x, k))
+            batch = power(spec, xs, k)
+            assert batch.shape == (4, 16) and batch.dtype == np.int64
+            assert batch is not xs
+        assert type(mul(spec, x, x)) is tuple
+
+    def test_negative_exponent_rejected(self):
+        spec = make_field(2, 3)
+        with pytest.raises(InputRangeError):
+            power(spec, spec.one(), -1)
+        with pytest.raises(InputRangeError):
+            power(spec, to_digits(spec, np.arange(8, dtype=np.int64)), -1)
+
+
 class TestOrders:
     def test_goldens(self):
         spec = make_field(7)
         assert element_order(spec, (3,)) == 6
         assert element_order(spec, (2,)) == 3
         assert element_order(spec, spec.one()) == 1
+        assert element_orders(spec) == (0, 1, 3, 6, 3, 6, 2)
 
     def test_zero_rejected(self):
         spec = make_field(7)
-        with pytest.raises(InputRangeError):
+        with pytest.raises(ValueError):
             element_order(spec, spec.zero())
+        assert element_orders(spec)[0] == 0
 
     def test_order_counts_are_phi(self):
         for p, s in SMALL_FIELDS + [(2, 6), (17, 1)]:
             spec = make_field(p, s)
             counts: dict[int, int] = {}
-            for i in range(1, spec.q):
-                o = element_order(spec, index_element(spec, i))
+            for o in element_orders(spec)[1:]:
                 counts[o] = counts.get(o, 0) + 1
             assert sorted(counts) == divisors(spec.q - 1)
             for d, c in counts.items():
                 assert c == euler_phi(d), (p, s, d)
 
     def test_order_table_matches_scalar_route(self):
-        for p, s in SMALL_FIELDS:
+        for q, p, s in prime_powers_up_to(1024):
             spec = make_field(p, s)
             table = element_orders(spec)
-            assert table[0] == 0
-            for i in range(1, spec.q):
-                assert table[i] == element_order(spec, index_element(spec, i))
+            assert len(table) == q and table[0] == 0
+            want = [element_order(spec, index_element(spec, i)) for i in range(1, q)]
+            assert list(table[1:]) == want, (p, s)
+
+    def test_chunk_boundaries(self, monkeypatch):
+        for p, s in ((2, 6), (97, 1), (5, 3)):
+            spec = make_field(p, s)
+            whole = element_orders(spec)
+            element_orders.cache_clear()
+            monkeypatch.setattr(finite_field, "CHUNK", 7)
+            assert element_orders(spec) == whole, (p, s)
+            monkeypatch.undo()
+            element_orders.cache_clear()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from monodyn import monomial
+from monodyn import finite_field, monomial
 from monodyn.errors import InputRangeError, InvariantViolation
 from monodyn.finite_field import index_element, make_field
 from monodyn.graph_engine import (
@@ -25,7 +25,7 @@ from monodyn.graph_engine import (
 )
 from monodyn.numtheory import prime_powers_up_to
 
-from oracles import exact_periods_by_iteration
+from oracles import exact_periods_by_iteration, scalar_successor
 
 
 def system(q: int, n: int, a_index: int = 1):
@@ -68,6 +68,22 @@ class TestSuccessor:
         i = data.draw(st.integers(min_value=0, max_value=q - 1))
         y = mul(spec, sys.a, power(spec, index_element(spec, i), n))
         assert succ[i] == element_index(spec, y)
+
+    def test_batched_matches_scalar_oracle(self):
+        for q, p, s in prime_powers_up_to(1024):
+            spec = make_field(p, s)
+            for n in (2, 3, 5, 16):
+                for a in sorted({1, q - 1}):
+                    got = successor_array(monomial_system(spec, n, a))
+                    assert got == scalar_successor(spec, n, a), (q, n, a)
+
+    def test_chunk_boundaries(self, monkeypatch):
+        for q, n, a in ((64, 3, 5), (97, 2, 1), (125, 16, 124)):
+            sys = system(q, n, a)
+            whole = successor_array(sys)
+            monkeypatch.setattr(finite_field, "CHUNK", 7)
+            assert successor_array(sys) == whole, (q, n, a)
+            monkeypatch.undo()
 
     def test_input_validation(self):
         spec = make_field(5)
