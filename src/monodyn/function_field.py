@@ -10,17 +10,17 @@ counting ratio oscillates between two explicit subsequence limits.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, log10
 
-from .errors import InputRangeError, InvariantViolation
+from .errors import InputRangeError, InvariantViolation, ResourceCapError
 from .numtheory import (
     coprime_part,
     divisors,
     euler_phi,
-    max_exponent,
-    mobius,
+    mobius_terms,
     multiplicative_order,
     pow_minus_one,
     prime_power_base,
@@ -37,7 +37,7 @@ def irreducible_count(q: int, d: int) -> int:
     _check_q(q)
     if d < 1:
         raise InputRangeError(f"degree must be >= 1, got {d}")
-    total = sum(mobius(e) * q ** (d // e) for e in divisors(d))
+    total = sum(mu * q**k for mu, k in mobius_terms(d))
     if total % d:
         raise InvariantViolation(f"necklace sum not divisible by {d}")
     return total // d
@@ -125,6 +125,13 @@ def oscillation_experiment(q: int, r: int, t_max: int) -> FFDensityReport:
     Counting is incremental, one degree at a time.  The last few
     errors along each tagged subsequence are required to be
     non-increasing; a violation would falsify the limit values.
+
+    Every count in the series is at most pi_K(t_max) < 2 * q**t_max, so
+    it has at most floor(t_max * log10(q)) + 2 decimal digits.  When
+    that bound exceeds Python's int-to-str limit
+    (sys.get_int_max_str_digits(), 4300 by default) the series could
+    not be written out, and ResourceCapError is raised before any
+    counting starts.
     """
     _check_q(q)
     if r < 1:
@@ -134,6 +141,14 @@ def oscillation_experiment(q: int, r: int, t_max: int) -> FFDensityReport:
     l = _order_of_q(q, r)
     if t_max < l:
         raise InputRangeError(f"t_max must be >= ord_r(q) = {l}")
+    digits = int(t_max * log10(q)) + 2
+    # Interpreters before 3.10.7 have no limit and no getter.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and digits > limit:
+        raise ResourceCapError(
+            f"degree bound {t_max} gives counts of up to {digits} digits over "
+            f"q = {q}, beyond the int-to-str limit of {limit} digits"
+        )
     limit_a, limit_b = subsequence_limits(q, r)
     points = []
     pi_total = 0
@@ -185,46 +200,12 @@ def dirichlet_D_K(q: int, n: int, r: int) -> Fraction:
         raise InputRangeError(f"n must be >= 2, got {n}")
     if r < 1:
         raise InputRangeError(f"r must be >= 1, got {r}")
-    total = Fraction(0)
-    for d in divisors(r):
-        mu = mobius(d)
-        if mu:
-            total += mu * (dirichlet_mean_solutions(q, pow_minus_one(n, r // d)) + 1)
-    return total
+    return sum(
+        mu * (dirichlet_mean_solutions(q, pow_minus_one(n, k)) + 1)
+        for mu, k in mobius_terms(r)
+    )
 
 
 def dirichlet_C_K(q: int, n: int, r: int) -> Fraction:
     """Dirichlet mean of the r-cycle count: D_K / r."""
     return dirichlet_D_K(q, n, r) / r
-
-
-@dataclass(frozen=True)
-class DivergenceSeriesK:
-    q: int
-    r_values: tuple[int, ...]
-    point_sums: tuple[Fraction, ...]
-    cycle_sums: tuple[Fraction, ...]
-
-
-def divergence_probe_K(q: int, n: int, r_max: int) -> DivergenceSeriesK:
-    """Partial sums of D_K(r) and D_K(r)/r for r = 1..r_max."""
-    _check_q(q)
-    if n < 2:
-        raise InputRangeError(f"n must be >= 2, got {n}")
-    if r_max < 1:
-        raise InputRangeError(f"r_max must be >= 1, got {r_max}")
-    cap = max_exponent(n)
-    if r_max > cap:
-        raise InputRangeError(
-            f"r_max {r_max} exceeds the 63-bit cap {cap} for n = {n}"
-        )
-    rs, ps, cs = [], [], []
-    pt, ct = Fraction(0), Fraction(0)
-    for r in range(1, r_max + 1):
-        val = dirichlet_D_K(q, n, r)
-        pt += val
-        ct += val / r
-        rs.append(r)
-        ps.append(pt)
-        cs.append(ct)
-    return DivergenceSeriesK(q, tuple(rs), tuple(ps), tuple(cs))

@@ -329,8 +329,3 @@ def orbit_document(st: OrbitStructure) -> dict:
         },
     }
 
-
-def export_json(st: OrbitStructure) -> str:
-    from .reporting import render_json
-
-    return render_json(orbit_document(st))

@@ -25,6 +25,7 @@ from .numtheory import (
     euler_phi,
     max_exponent,
     mobius,
+    mobius_terms,
     pow_minus_one,
     primes_up_to,
     v_s,
@@ -45,12 +46,9 @@ def analytic_N(r: int, s: int, n: int) -> int:
         raise InputRangeError("r and s must be >= 1")
     if n < 2:
         raise InputRangeError(f"n must be >= 2, got {n}")
-    total = 0
-    for d in divisors(r):
-        mu = mobius(d)
-        if mu:
-            total += mu * (analytic_I(pow_minus_one(n, r // d), s) + 1)
-    return total
+    return sum(
+        mu * (analytic_I(pow_minus_one(n, k), s) + 1) for mu, k in mobius_terms(r)
+    )
 
 
 def analytic_C_mean(r: int, s: int, n: int) -> Fraction:
@@ -91,11 +89,9 @@ def dirichlet_D(r: int, s: int, n: int) -> int:
         raise InputRangeError("r and s must be >= 1")
     if n < 2:
         raise InputRangeError(f"n must be >= 2, got {n}")
-    total = Fraction(0)
-    for d in divisors(r):
-        mu = mobius(d)
-        if mu:
-            total += mu * (density_mean_gcd(pow_minus_one(n, r // d), s) + 1)
+    total = sum(
+        mu * (density_mean_gcd(pow_minus_one(n, k), s) + 1) for mu, k in mobius_terms(r)
+    )
     if total.denominator != 1:
         raise InvariantViolation(f"Dirichlet mean is not integral: {total}")
     return int(total)
@@ -166,9 +162,7 @@ def empirical_mean(
         raise InputRangeError(f"t_max must be in [2, {SIEVE_CAP}], got {t_max}")
     if workers < 1:
         raise InputRangeError("workers must be >= 1")
-    terms = tuple(
-        (mobius(d), pow_minus_one(n, r // d)) for d in divisors(r) if mobius(d)
-    )
+    terms = tuple((mu, pow_minus_one(n, k)) for mu, k in mobius_terms(r))
     analytic = Fraction(analytic_N(r, s, n))
     cps = sorted(set(checkpoints)) if checkpoints else default_checkpoints(t_max)
     if any(not 2 <= c <= t_max for c in cps):
@@ -209,30 +203,32 @@ def empirical_mean(
 @dataclass(frozen=True)
 class DivergenceSeries:
     r_values: tuple[int, ...]
-    point_sums: tuple[int, ...]  # running sums of the period-count means
-    cycle_sums: tuple[Fraction, ...]  # running sums of the cycle-count means
+    point_sums: tuple[int | Fraction, ...]  # running sums of the per-r means
+    cycle_sums: tuple[Fraction, ...]  # running sums of mean / r
 
 
-def divergence_probe(s: int, n: int, r_max: int) -> DivergenceSeries:
-    """Partial sums of N(r) and N(r)/r for r = 1..r_max.
+def divergence_series(mean, n: int, r_max: int) -> DivergenceSeries:
+    """Partial sums of mean(r) and mean(r) / r for r = 1..r_max.
 
-    Both series grow without bound (every prime r contributes at
-    least 1); r_max is capped so n**r - 1 stays within 63 bits.
+    mean(r) is a limiting mean of the exact-period-r count of x -> x**n:
+    analytic_N over primes or function_field.dirichlet_D_K over F_q(T).
+    Both series grow without bound; r_max is capped, before the first
+    term, so n**r - 1 stays within 63 bits.
     """
-    if s < 1 or r_max < 1:
-        raise InputRangeError("s and r_max must be >= 1")
+    if r_max < 1:
+        raise InputRangeError(f"r_max must be >= 1, got {r_max}")
     cap = max_exponent(n)
     if r_max > cap:
         raise InputRangeError(
             f"r_max {r_max} exceeds the 63-bit cap {cap} for n = {n}"
         )
-    rs, ps, cs = [], [], []
+    rs = tuple(range(1, r_max + 1))
+    ps, cs = [], []
     pt, ct = 0, Fraction(0)
-    for r in range(1, r_max + 1):
-        val = analytic_N(r, s, n)
+    for r in rs:
+        val = mean(r)
         pt += val
         ct += Fraction(val, r)
-        rs.append(r)
         ps.append(pt)
         cs.append(ct)
-    return DivergenceSeries(tuple(rs), tuple(ps), tuple(cs))
+    return DivergenceSeries(rs, tuple(ps), tuple(cs))

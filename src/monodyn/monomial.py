@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import InputRangeError, InvariantViolation
-from .numtheory import coprime_part, divisors, mobius, multiplicative_order
+from .numtheory import coprime_part, divisors, mobius_terms, multiplicative_order
 
 #: Formula-engine bound on q and n.
 FORMULA_CAP = 2**31
@@ -68,7 +68,7 @@ def periodic_count(q: int, n: int, r: int) -> int:
     _check(q, n)
     if r < 1:
         raise InputRangeError(f"period must be >= 1, got {r}")
-    return sum(mobius(d) * (m_j(q, n, r // d) + 1) for d in divisors(r))
+    return sum(mu * (m_j(q, n, k) + 1) for mu, k in mobius_terms(r))
 
 
 def cycle_count(q: int, n: int, r: int) -> int:

@@ -147,6 +147,21 @@ def mobius(m: int) -> int:
     return -1 if len(f) % 2 else 1
 
 
+def mobius_terms(r: int) -> tuple[tuple[int, int], ...]:
+    """(mu(d), r // d) over the squarefree divisors d of r, d increasing.
+
+    The kernel of every exact-period count: a point has exact period r
+    exactly when the r-th iterate fixes it and no r // p-th does, so
+    that count is sum(mu * fixed(k) for mu, k in mobius_terms(r)) with
+    fixed(k) the number of points the k-th iterate fixes.  Divisors
+    with mu(d) = 0 contribute nothing and are left out.
+    """
+    terms = [(1, 1)]
+    for p, _ in factorize(r).factors:
+        terms += [(-mu, d * p) for mu, d in terms]
+    return tuple((mu, r // d) for mu, d in sorted(terms, key=lambda t: t[1]))
+
+
 def euler_phi(m: int) -> int:
     """Count of residues mod m coprime to m."""
     out = 1
@@ -161,15 +176,6 @@ def tau(m: int) -> int:
     for _, e in factorize(m).factors:
         out *= e + 1
     return out
-
-
-def mod_pow(base: int, exp: int, modulus: int) -> int:
-    """base**exp mod modulus with validated arguments."""
-    if modulus < 1:
-        raise InputRangeError(f"modulus must be >= 1, got {modulus}")
-    if base < 0 or exp < 0:
-        raise InputRangeError("base and exponent must be nonnegative")
-    return pow(base, exp, modulus)
 
 
 @lru_cache(maxsize=65536)

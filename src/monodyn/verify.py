@@ -202,58 +202,74 @@ def convergence_failures(t_small: int, t_big: int, workers: int = 1) -> list:
     return bad
 
 
+def _require(ok: bool, detail) -> None:
+    """Fail a check with detail; unlike assert, this survives python -O."""
+    if not ok:
+        raise AssertionError(detail)
+
+
 def _check_profiles() -> None:
     prof = monomial.profile(7, 2)
-    assert prof.per_period == {1: 2, 2: 2}, prof
-    assert prof.per_length == {1: 2, 2: 1}, prof
+    _require(prof.per_period == {1: 2, 2: 2}, prof)
+    _require(prof.per_length == {1: 2, 2: 1}, prof)
     prof = monomial.profile(19, 2)
-    assert prof.per_period == {1: 2, 2: 2, 6: 6}, prof
-    assert monomial.periodic_count(19, 2, 3) == 0
+    _require(prof.per_period == {1: 2, 2: 2, 6: 6}, prof)
+    _require(monomial.periodic_count(19, 2, 3) == 0, "period 3 on GF(19)")
 
 
-#: Degree bounds for the oscillation pairs; the subsequence errors decay
-#: like 1/t, so these put both tags under 1 / 10**4.
-OSCILLATION_RUNS = ((2, 3, 3000), (3, 5, 4000))
+#: (q, r, degree bound, exact subsequence limits) for the oscillation
+#: pairs; the subsequence errors decay like 1/t, so these bounds put
+#: both tags under 1 / 10**4.
+OSCILLATION_RUNS = (
+    (2, 3, 3000, (Fraction(2, 3), Fraction(1, 3))),
+    (3, 5, 4000, (Fraction(27, 40), Fraction(1, 40))),
+)
 
 
 def _check_oscillation() -> None:
-    for q, r, t_max in OSCILLATION_RUNS:
+    for q, r, t_max, limits in OSCILLATION_RUNS:
         rep = function_field.oscillation_experiment(q, r, t_max)
+        _require((rep.limit_A, rep.limit_B) == limits, (q, r, limits))
         for tag, limit in (("A", rep.limit_A), ("B", rep.limit_B)):
             last = [pt for pt in rep.series if tag in pt.tag][-1]
             err = abs(last.ratio - limit)
-            assert err < Fraction(1, 10_000), (q, r, tag, err)
+            _require(err < Fraction(1, 10_000), (q, r, tag, err))
         tail = [pt.ratio for pt in rep.series[-rep.l_r :]]
-        assert max(tail) - min(tail) > Fraction(1, 5), (q, r, tail)
+        _require(max(tail) - min(tail) > Fraction(1, 5), (q, r, tail))
+        for pt in rep.series:
+            types = type(pt.pi_K), type(pt.c_r), type(pt.ratio)
+            _require(types == (int, int, Fraction), (q, r, pt))
         dens = function_field.dirichlet_density_S(q, r)
-        assert dens == Fraction(1, rep.l_r)
+        _require(dens == Fraction(1, rep.l_r), (q, r, dens))
 
 
 def _check_ff_means() -> None:
-    assert function_field.dirichlet_mean_solutions(2, 3) == 2
-    assert function_field.dirichlet_mean_solutions(3, 8) == 5
+    _require(function_field.dirichlet_mean_solutions(2, 3) == 2, "x**3 = 1 over F_2(T)")
+    _require(function_field.dirichlet_mean_solutions(3, 8) == 5, "x**8 = 1 over F_3(T)")
     for q in (2, 3, 4, 5, 7, 8, 9):
-        assert function_field.dirichlet_D_K(q, 2, 1) == 2
+        _require(function_field.dirichlet_D_K(q, 2, 1) == 2, q)
         for big_d in range(1, 21):
             total = sum(
                 d * function_field.irreducible_count(q, d)
                 for d in divisors(big_d)
             )
-            assert total == q**big_d, (q, big_d)
-    assert function_field.dirichlet_D_K(3, 2, 2) == 0
-    assert function_field.irreducible_count(2, 4) == 3
-    assert function_field.pi_K(2, 3) == 5
+            _require(total == q**big_d, (q, big_d))
+    _require(function_field.dirichlet_D_K(3, 2, 2) == 0, "D_K(3, 2, 2)")
+    _require(function_field.irreducible_count(2, 4) == 3, "quartics over GF(2)")
+    _require(function_field.pi_K(2, 3) == 5, "pi_K(2, 3)")
 
 
 def _check_divergence() -> None:
-    d = mean_values.divergence_probe(1, 2, 31)
-    assert all(b >= a for a, b in zip(d.point_sums, d.point_sums[1:]))
+    d = mean_values.divergence_series(lambda r: mean_values.analytic_N(r, 1, 2), 2, 31)
+    _require(all(b >= a for a, b in zip(d.point_sums, d.point_sums[1:])), "N sums")
     for r in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
-        assert d.point_sums[r - 1] > d.point_sums[r - 2], r
-    assert d.cycle_sums[-1] > d.cycle_sums[0]
-    k = function_field.divergence_probe_K(3, 2, 31)
-    assert all(b >= a for a, b in zip(k.point_sums, k.point_sums[1:]))
-    assert k.point_sums[-1] > k.point_sums[0] + 5, k.point_sums[-1]
+        _require(d.point_sums[r - 1] > d.point_sums[r - 2], r)
+    _require(d.cycle_sums[-1] > d.cycle_sums[0], d.cycle_sums)
+    k = mean_values.divergence_series(
+        lambda r: function_field.dirichlet_D_K(3, 2, r), 2, 31
+    )
+    _require(all(b >= a for a, b in zip(k.point_sums, k.point_sums[1:])), "D_K sums")
+    _require(k.point_sums[-1] > k.point_sums[0] + 5, k.point_sums[-1])
 
 
 def run_verification(

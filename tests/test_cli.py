@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +25,23 @@ def assert_no_floats(node):
     elif isinstance(node, list):
         for v in node:
             assert_no_floats(v)
+
+
+#: Code that breaks one golden check of the verify battery; run under
+#: python -O, each check must still fail.
+BROKEN_GOLDENS = {
+    "_check_profiles": (
+        "real = monomial.profile\n"
+        "monomial.profile = lambda q, n: real(q, n + 1)"
+    ),
+    "_check_oscillation": (
+        "function_field.dirichlet_density_S = lambda q, r: Fraction(1, 7)"
+    ),
+    "_check_ff_means": (
+        "function_field.dirichlet_mean_solutions = lambda q, m: Fraction(0)"
+    ),
+    "_check_divergence": "mean_values.analytic_N = lambda r, s, n: 0",
+}
 
 
 class TestAnalyze:
@@ -226,6 +247,15 @@ class TestFfield:
         assert code == 2
         assert "--t" in err
 
+    def test_oscillate_past_int_str_limit(self, capsys):
+        # 2**20000 has 6021 digits, over the default limit of 4300
+        code, out, err = run(
+            capsys, "ffield", "--q", "2", "--r", "3", "--t", "20000", "--oscillate"
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_ramified_r(self, capsys):
         code, _, _ = run(capsys, "ffield", "--q", "2", "--r", "4", "--density")
         assert code == 2
@@ -251,6 +281,28 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--scope", "quick")
         assert code == 1
         assert "FAIL" in out
+
+    @pytest.mark.parametrize("check", sorted(BROKEN_GOLDENS))
+    def test_golden_checks_fail_under_optimize(self, check):
+        script = "\n".join([
+            "from fractions import Fraction",
+            "from monodyn import function_field, mean_values, monomial, verify",
+            BROKEN_GOLDENS[check],
+            "try:",
+            f"    verify.{check}()",
+            "except AssertionError as exc:",
+            "    print('FAIL', exc)",
+            "else:",
+            "    print('PASS')",
+        ])
+        src = str(Path(monodyn.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("FAIL"), proc.stdout
 
 
 class TestParsing:

@@ -9,12 +9,12 @@ from monodyn.function_field import (
     dirichlet_D_K,
     dirichlet_density_S,
     dirichlet_mean_solutions,
-    divergence_probe_K,
     irreducible_count,
     oscillation_experiment,
     pi_K,
     subsequence_limits,
 )
+from monodyn.mean_values import divergence_series
 from monodyn.numtheory import multiplicative_order
 
 from oracles import brute_irreducible_counts
@@ -219,14 +219,14 @@ class TestDirichletMeans:
 
 class TestDivergenceK:
     def test_partial_sums_grow_without_bound(self):
-        series = divergence_probe_K(3, 2, 31)
+        series = divergence_series(lambda r: dirichlet_D_K(3, 2, r), 2, 31)
         assert series.r_values == tuple(range(1, 32))
         for a, b in zip(series.point_sums, series.point_sums[1:]):
             assert b >= a
         assert series.point_sums[-1] > series.point_sums[0] + 5
 
     def test_running_sum_matches_term_values(self):
-        series = divergence_probe_K(2, 3, 10)
+        series = divergence_series(lambda r: dirichlet_D_K(2, 3, r), 3, 10)
         running = Fraction(0)
         for r, got in zip(series.r_values, series.point_sums):
             running += dirichlet_D_K(2, 3, r)
@@ -236,4 +236,6 @@ class TestDivergenceK:
         from monodyn.numtheory import max_exponent
 
         with pytest.raises(InputRangeError):
-            divergence_probe_K(2, 2, max_exponent(2) + 1)
+            divergence_series(
+                lambda r: dirichlet_D_K(2, 2, r), 2, max_exponent(2) + 1
+            )

@@ -13,7 +13,6 @@ from monodyn.graph_engine import (
     check_order_characterization,
     dichotomy_report,
     export_dot,
-    export_json,
     has_nonzero_fixed,
     is_connected,
     is_mth_power,
@@ -24,6 +23,7 @@ from monodyn.graph_engine import (
     successor_array,
 )
 from monodyn.numtheory import prime_powers_up_to
+from monodyn.reporting import render_json
 
 from oracles import exact_periods_by_iteration, scalar_successor
 
@@ -300,7 +300,7 @@ class TestExports:
 
     def test_json_round_trip(self):
         struct = build(system(9, 2, a_index=4))
-        doc = json.loads(export_json(struct))
+        doc = json.loads(render_json(orbit_document(struct)))
         assert doc["successor"] == struct.successor
         assert doc["q"] == 9 and doc["n"] == 2 and doc["a_index"] == 4
         assert doc["aggregates"]["periodic_total"] == struct.periodic_total
@@ -322,4 +322,5 @@ class TestExports:
                 for v in node:
                     walk(v)
 
-        walk(json.loads(export_json(build(system(25, 4, a_index=3)))))
+        struct = build(system(25, 4, a_index=3))
+        walk(json.loads(render_json(orbit_document(struct))))

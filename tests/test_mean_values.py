@@ -13,7 +13,7 @@ from monodyn.mean_values import (
     default_checkpoints,
     density_mean_gcd,
     dirichlet_D,
-    divergence_probe,
+    divergence_series,
     empirical_mean,
     mobius_invert_multiples,
 )
@@ -197,7 +197,7 @@ class TestEmpiricalSweep:
 
 class TestDivergence:
     def test_partial_sums_grow(self):
-        series = divergence_probe(1, 2, 31)
+        series = divergence_series(lambda r: analytic_N(r, 1, 2), 2, 31)
         assert series.r_values == tuple(range(1, 32))
         for a, b in zip(series.point_sums, series.point_sums[1:]):
             assert b >= a
@@ -205,13 +205,13 @@ class TestDivergence:
             assert b >= a
 
     def test_strict_growth_at_primes(self):
-        series = divergence_probe(1, 2, 31)
+        series = divergence_series(lambda r: analytic_N(r, 1, 2), 2, 31)
         sums = {r: v for r, v in zip(series.r_values, series.point_sums)}
         for r in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
             assert sums[r] > sums[r - 1], r
 
     def test_values_match_analytic(self):
-        series = divergence_probe(2, 3, 8)
+        series = divergence_series(lambda r: analytic_N(r, 2, 3), 3, 8)
         running = 0
         for r, got in zip(series.r_values, series.point_sums):
             running += analytic_N(r, 2, 3)
@@ -220,5 +220,5 @@ class TestDivergence:
     def test_cap_reported(self):
         cap = max_exponent(2)
         with pytest.raises(InputRangeError) as err:
-            divergence_probe(1, 2, cap + 1)
+            divergence_series(lambda r: analytic_N(r, 1, 2), 2, cap + 1)
         assert str(cap) in str(err.value)

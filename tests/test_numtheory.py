@@ -15,7 +15,7 @@ from monodyn.numtheory import (
     is_prime,
     max_exponent,
     mobius,
-    mod_pow,
+    mobius_terms,
     multiplicative_order,
     pow_minus_one,
     prime_power_base,
@@ -129,27 +129,19 @@ class TestDivisorFunctions:
                 r * mobius(s // r) for r in divisors(s)
             )
 
+    def test_mobius_terms_goldens(self):
+        assert mobius_terms(1) == ((1, 1),)
+        assert mobius_terms(12) == ((1, 12), (-1, 6), (-1, 4), (1, 2))
+        assert mobius_terms(30)[-1] == (-1, 1)
 
-class TestModPow:
-    def test_goldens(self):
-        assert mod_pow(2, 10, 1000) == 24
-        assert mod_pow(0, 5, 7) == 0
-        assert mod_pow(5, 0, 9) == 1
-        assert mod_pow(5, 0, 1) == 0
-
-    @given(
-        st.integers(min_value=0, max_value=10**9),
-        st.integers(min_value=0, max_value=10**6),
-        st.integers(min_value=1, max_value=10**9),
-    )
-    def test_matches_builtin(self, b, e, m):
-        assert mod_pow(b, e, m) == pow(b, e, m)
-
-    def test_domain_errors(self):
-        with pytest.raises(InputRangeError):
-            mod_pow(2, 3, 0)
-        with pytest.raises(InputRangeError):
-            mod_pow(2, -1, 5)
+    @given(st.integers(min_value=1, max_value=3000))
+    def test_mobius_terms_against_naive(self, r):
+        want = tuple(
+            (naive_mobius(d), r // d)
+            for d in naive_divisors(r)
+            if naive_mobius(d)
+        )
+        assert mobius_terms(r) == want
 
 
 class TestMultiplicativeOrder:
