@@ -93,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _threads(args) -> int:
-    """--threads if given, else MONODYN_THREADS, else 1; at least 1."""
+    """--threads if given, else MONODYN_THREADS, else 1; in [1, MAX_WORKERS]."""
     if args.threads is not None:
         workers, source = args.threads, "--threads"
     else:
@@ -105,8 +105,10 @@ def _threads(args) -> int:
                 f"MONODYN_THREADS must be an integer, got {text!r}"
             ) from None
         source = "MONODYN_THREADS"
-    if workers < 1:
-        raise InputRangeError(f"{source} must be >= 1, got {workers}")
+    if not 1 <= workers <= mean_values.MAX_WORKERS:
+        raise InputRangeError(
+            f"{source} must be in [1, {mean_values.MAX_WORKERS}], got {workers}"
+        )
     return workers
 
 

@@ -51,6 +51,24 @@ def pi_K(q: int, t: int) -> int:
     return sum(irreducible_count(q, d) for d in range(1, t + 1))
 
 
+def _check_str_digits(q: int, e: int, what: str) -> None:
+    """Refuse numbers up to 2 * q**e that could not be written out.
+
+    Such a number has at most floor(e * log10(q)) + 2 decimal digits;
+    when that bound exceeds Python's int-to-str limit
+    (sys.get_int_max_str_digits(), 4300 by default) ResourceCapError
+    is raised, before any of them is formed.
+    """
+    digits = int(e * log10(q)) + 2
+    # Interpreters before 3.10.7 have no limit and no getter.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and digits > limit:
+        raise ResourceCapError(
+            f"{what} of up to {digits} digits over q = {q}, beyond the "
+            f"int-to-str limit of {limit} digits"
+        )
+
+
 def _order_of_q(q: int, r: int) -> int:
     return 1 if r == 1 else multiplicative_order(q % r, r)
 
@@ -86,7 +104,9 @@ def subsequence_limits(q: int, r: int) -> tuple[Fraction, Fraction]:
     """Limits of C_r(t) / pi_K(t) along t = kl and t = kl - 1, l = ord_r(q).
 
     The two disagree whenever l > 1, so the natural density does not
-    exist; their values bracket the oscillation.
+    exist; their values bracket the oscillation.  Their terms reach
+    q**l, so ResourceCapError is raised when l is too large for them
+    to be written out.
     """
     _check_q(q)
     if r < 1:
@@ -94,6 +114,7 @@ def subsequence_limits(q: int, r: int) -> tuple[Fraction, Fraction]:
     if gcd(r, q) > 1:
         raise InputRangeError(f"r = {r} must be coprime to q = {q}")
     l = _order_of_q(q, r)
+    _check_str_digits(q, l, f"ord_r(q) = {l} gives limits")
     high = Fraction(q ** (l - 1) * (q - 1), q**l - 1)
     low = Fraction(q - 1, q**l - 1)
     return high, low
@@ -126,12 +147,9 @@ def oscillation_experiment(q: int, r: int, t_max: int) -> FFDensityReport:
     errors along each tagged subsequence are required to be
     non-increasing; a violation would falsify the limit values.
 
-    Every count in the series is at most pi_K(t_max) < 2 * q**t_max, so
-    it has at most floor(t_max * log10(q)) + 2 decimal digits.  When
-    that bound exceeds Python's int-to-str limit
-    (sys.get_int_max_str_digits(), 4300 by default) the series could
-    not be written out, and ResourceCapError is raised before any
-    counting starts.
+    Every count in the series is at most pi_K(t_max) < 2 * q**t_max;
+    ResourceCapError is raised before any counting starts when such
+    counts could not be written out.
     """
     _check_q(q)
     if r < 1:
@@ -141,14 +159,7 @@ def oscillation_experiment(q: int, r: int, t_max: int) -> FFDensityReport:
     l = _order_of_q(q, r)
     if t_max < l:
         raise InputRangeError(f"t_max must be >= ord_r(q) = {l}")
-    digits = int(t_max * log10(q)) + 2
-    # Interpreters before 3.10.7 have no limit and no getter.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and digits > limit:
-        raise ResourceCapError(
-            f"degree bound {t_max} gives counts of up to {digits} digits over "
-            f"q = {q}, beyond the int-to-str limit of {limit} digits"
-        )
+    _check_str_digits(q, t_max, f"degree bound {t_max} gives counts")
     limit_a, limit_b = subsequence_limits(q, r)
     points = []
     pi_total = 0

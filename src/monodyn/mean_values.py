@@ -12,7 +12,6 @@ rational; floats never enter.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,13 +22,17 @@ from .numtheory import (
     SIEVE_CAP,
     divisors,
     euler_phi,
+    gcd_classes,
     max_exponent,
     mobius,
     mobius_terms,
     pow_minus_one,
-    primes_up_to,
+    prime_array,
     v_s,
 )
+
+#: Most worker processes a sweep may use (--threads, MONODYN_THREADS).
+MAX_WORKERS = 64
 
 
 def analytic_I(m: int, s: int) -> int:
@@ -49,11 +52,6 @@ def analytic_N(r: int, s: int, n: int) -> int:
     return sum(
         mu * (analytic_I(pow_minus_one(n, k), s) + 1) for mu, k in mobius_terms(r)
     )
-
-
-def analytic_C_mean(r: int, s: int, n: int) -> Fraction:
-    """Limiting mean of the r-cycle count: N / r as a reduced fraction."""
-    return Fraction(analytic_N(r, s, n), r)
 
 
 def mobius_invert_multiples(g, m: int, r: int):
@@ -128,15 +126,19 @@ def default_checkpoints(t_max: int) -> list[int]:
 
 
 def _block_total(args) -> int:
+    """Exact sum of the per-prime counts over one block of primes.
+
+    Every term modulus M = n**k - 1 divides L = n**r - 1, the first
+    term's, so gcd(p**s - 1, M) = gcd(g, M) with g = gcd(p**s - 1, L):
+    each class g is evaluated once, in Python ints, and weighted by the
+    number of its primes.
+    """
     s, terms, primes = args
-    total = 0
-    for p in primes:
-        acc = 0
-        for mu, M in terms:
-            g = gcd((pow(p, s, M) + M - 1) % M, M)
-            acc += mu * (g + 1)
-        total += acc
-    return total
+    L = terms[0][1]
+    return sum(
+        count * sum(mu * (gcd(g, M) + 1) for mu, M in terms)
+        for g, count in gcd_classes(primes, s, L)
+    )
 
 
 def empirical_mean(
@@ -149,10 +151,13 @@ def empirical_mean(
 ) -> MeanSweepReport:
     """Exact prime sweep of the period-r count over GF(p**s) for p <= t_max.
 
-    gcd(n**k - 1, p**s - 1) is evaluated with p**s reduced modulo
-    n**k - 1, so the prime power is never formed.  The prime range is
-    split into blocks whose integer subtotals are folded in index
-    order, which makes the result identical for any worker count.
+    The per-prime count is sum(mu * (gcd(p**s - 1, M) + 1)) over the
+    Moebius terms (mu, M = n**k - 1) of r; primes are counted per class
+    of gcd(p**s - 1, n**r - 1) and each class is evaluated once (see
+    _block_total).  The prime range is split into blocks whose integer
+    subtotals are folded in index order, which makes the result
+    identical for any worker count; at most min(workers, number of
+    blocks) worker processes are started.
     """
     if r < 1 or s < 1:
         raise InputRangeError("r and s must be >= 1")
@@ -160,8 +165,8 @@ def empirical_mean(
         raise InputRangeError(f"n must be >= 2, got {n}")
     if not 2 <= t_max <= SIEVE_CAP:
         raise InputRangeError(f"t_max must be in [2, {SIEVE_CAP}], got {t_max}")
-    if workers < 1:
-        raise InputRangeError("workers must be >= 1")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise InputRangeError(f"workers must be in [1, {MAX_WORKERS}], got {workers}")
     terms = tuple((mu, pow_minus_one(n, k)) for mu, k in mobius_terms(r))
     analytic = Fraction(analytic_N(r, s, n))
     cps = sorted(set(checkpoints)) if checkpoints else default_checkpoints(t_max)
@@ -170,17 +175,17 @@ def empirical_mean(
     if cps[-1] != t_max:
         cps.append(t_max)
 
-    primes = primes_up_to(t_max)
-    bounds = [bisect_right(primes, c) for c in cps]
+    primes = prime_array(t_max)
+    bounds = primes.searchsorted(cps, side="right").tolist()
     cut_set = set(bounds)
     cut_set.update(range(20000, len(primes), 20000))
     cut_set.add(len(primes))
     cut_set.discard(0)
     cuts = sorted(cut_set)
     blocks = list(zip([0] + cuts[:-1], cuts))
-    args = [(s, terms, tuple(primes[lo:hi])) for lo, hi in blocks]
+    args = [(s, terms, primes[lo:hi]) for lo, hi in blocks]
     if workers > 1 and len(args) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(args))) as pool:
             subtotals = list(pool.map(_block_total, args))
     else:
         subtotals = [_block_total(a) for a in args]

@@ -255,20 +255,53 @@ def pow_minus_one(n: int, r: int) -> int:
     return val
 
 
-def primes_up_to(t: int) -> list[int]:
-    """All primes <= t, by a sieve of Eratosthenes."""
+def prime_array(t: int) -> np.ndarray:
+    """All primes <= t, ascending, as one int64 array.
+
+    An odd-only sieve of Eratosthenes: flag i stands for 2i + 1, so the
+    sieve takes (t + 1) // 2 bytes and each prime p >= 3 strikes only
+    its odd multiples, from p * p in steps of 2p.
+    """
     if t > SIEVE_CAP:
         raise ResourceCapError(f"sieve bound {t} exceeds the cap {SIEVE_CAP}")
     if t < 0:
         raise InputRangeError(f"sieve bound must be nonnegative, got {t}")
     if t < 2:
-        return []
-    sieve = np.ones(t + 1, dtype=bool)
-    sieve[:2] = False
-    for i in range(2, math.isqrt(t) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = False
-    return np.flatnonzero(sieve).tolist()
+        return np.zeros(0, dtype=np.int64)
+    odd = np.ones((t + 1) // 2, dtype=bool)
+    for i in range(1, (math.isqrt(t) + 1) // 2):
+        if odd[i]:
+            p = 2 * i + 1
+            odd[p * p // 2 :: p] = False
+    # flag 0 stands for 1, which is no prime: it stays set as the slot of 2
+    primes = np.flatnonzero(odd).astype(np.int64, copy=False)
+    del odd
+    primes *= 2
+    primes += 1
+    primes[0] = 2
+    return primes
+
+
+def primes_up_to(t: int) -> list[int]:
+    """All primes <= t, ascending, as a list of Python ints."""
+    return prime_array(t).tolist()
+
+
+def gcd_classes(values: np.ndarray, s: int, m: int) -> list[tuple[int, int]]:
+    """(g, count) pairs, g ascending: how many v have gcd(v**s - 1, m) = g.
+
+    values is an int64 array of positive integers and 1 <= m <= 2**63 - 1.
+    v**s - 1 is formed directly in int64 when s times the bit length of
+    max(values) is at most 63, where that is exact; otherwise v**s is
+    reduced mod m by one Python pow per value.
+    """
+    top = int(values.max(initial=1))
+    if s * top.bit_length() <= 63:
+        x = values**s - 1
+    else:
+        x = np.array([pow(v, s, m) for v in values.tolist()], dtype=np.int64) - 1
+    classes, counts = np.unique(np.gcd(x, m), return_counts=True)
+    return list(zip(classes.tolist(), counts.tolist()))
 
 
 def prime_power_base(q: int) -> tuple[int, int] | None:

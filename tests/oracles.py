@@ -7,6 +7,7 @@ the package, so agreement is evidence rather than tautology.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd, isqrt
 
 import numpy as np
@@ -73,6 +74,37 @@ def naive_primes(t: int) -> list[int]:
         if flags[p]:
             flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
     return [i for i in range(2, t + 1) if flags[i]]
+
+
+def scalar_sweep_total(r: int, s: int, n: int, primes) -> int:
+    """Sum over the primes p of the exact-period-r count of x -> x**n on GF(p**s).
+
+    One prime and one Moebius term at a time: the count is
+    sum(mu(d) * (gcd(n**(r/d) - 1, p**s - 1) + 1)) over the divisors d
+    of r, with p**s reduced modulo n**(r/d) - 1 by builtin pow.
+    """
+    terms = [(naive_mobius(d), n ** (r // d) - 1) for d in naive_divisors(r)]
+    terms = [(mu, m) for mu, m in terms if mu]
+    total = 0
+    for p in primes:
+        for mu, m in terms:
+            total += mu * (gcd((pow(p, s, m) + m - 1) % m, m) + 1)
+    return total
+
+
+def analytic_C_mean(r: int, s: int, n: int) -> Fraction:
+    """Limiting mean of the r-cycle count over primes: N / r, reduced.
+
+    N is the Moebius sum over d | r of the mean of gcd(n**(r/d) - 1,
+    p**s - 1) plus one, that mean being the sum of the unit-root counts
+    brute_v_s over the divisors of n**(r/d) - 1.
+    """
+    n_mean = sum(
+        naive_mobius(d)
+        * (sum(brute_v_s(s, l) for l in naive_divisors(n ** (r // d) - 1)) + 1)
+        for d in naive_divisors(r)
+    )
+    return Fraction(n_mean, r)
 
 
 def brute_irreducible_counts(p: int, d_max: int) -> dict[int, int]:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import monodyn.mean_values
 import monodyn.monomial
 from monodyn.cli import main
 
@@ -204,6 +205,27 @@ class TestSweep:
             assert code == 2 and out == "", (argv, value)
             assert err.startswith("error:") and "MONODYN_THREADS" in err
 
+    @pytest.mark.parametrize("where", ["flag", "environment"])
+    def test_threads_over_cap_rejected(self, capsys, monkeypatch, where):
+        # refused before any work: a pool, had one been asked for, raises
+        def no_pool(**kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(monodyn.mean_values, "ProcessPoolExecutor", no_pool)
+        too_many = str(monodyn.mean_values.MAX_WORKERS + 1)
+        for argv in (
+            ("sweep", "--r", "1", "--n", "2", "--t", "100"),
+            ("verify", "--scope", "quick"),
+        ):
+            if where == "flag":
+                argv += ("--threads", too_many)
+            else:
+                monkeypatch.setenv("MONODYN_THREADS", too_many)
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "", argv
+            assert err.startswith("error:") and too_many in err
+            assert err.count("\n") == 1
+
     def test_threads_flag_overrides_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("MONODYN_THREADS", "abc")
         code, _, _ = run(
@@ -252,6 +274,15 @@ class TestFfield:
         code, out, err = run(
             capsys, "ffield", "--q", "2", "--r", "3", "--t", "20000", "--oscillate"
         )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("q, r", [("2", "15013"), ("3", "1000000007")])
+    def test_density_past_int_str_limit(self, capsys, q, r):
+        # ord_r(q) is 15012 and 500000003: the limits' q**ord_r(q) has
+        # more digits than the int-to-str limit of 4300, or never finishes
+        code, out, err = run(capsys, "ffield", "--q", q, "--r", r, "--density")
         assert code == 3
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1

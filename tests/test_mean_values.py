@@ -1,13 +1,16 @@
 import math
+from bisect import bisect_right
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from monodyn import mean_values
 from monodyn.errors import InputRangeError
 from monodyn.mean_values import (
-    analytic_C_mean,
+    MAX_WORKERS,
     analytic_I,
     analytic_N,
     default_checkpoints,
@@ -19,7 +22,14 @@ from monodyn.mean_values import (
 )
 from monodyn.numtheory import divisors, max_exponent, v_s
 
-from oracles import brute_v_s, naive_divisors, naive_is_prime
+from oracles import (
+    analytic_C_mean,
+    brute_v_s,
+    naive_divisors,
+    naive_is_prime,
+    naive_primes,
+    scalar_sweep_total,
+)
 
 
 class TestAnalyticI:
@@ -59,6 +69,13 @@ class TestAnalyticN:
         assert analytic_C_mean(3, 1, 2) == Fraction(1, 3)
         assert analytic_C_mean(2, 1, 2) == Fraction(1, 2)
         assert analytic_C_mean(1, 1, 2) == 2
+
+    def test_cycle_mean_is_analytic_N_over_r(self):
+        for r in range(1, 5):
+            for s in range(1, 4):
+                for n in range(2, 5):
+                    want = analytic_C_mean(r, s, n)
+                    assert Fraction(analytic_N(r, s, n), r) == want, (r, s, n)
 
     def test_prime_period_means_are_positive(self):
         for r in (2, 3, 5, 7, 11, 13):
@@ -131,6 +148,10 @@ def euler_phi_local(j: int) -> int:
     return sum(1 for k in range(1, j + 1) if math.gcd(k, j) == 1)
 
 
+class PoolRefused(Exception):
+    pass
+
+
 class TestEmpiricalSweep:
     def test_degenerate_case_is_exactly_two(self):
         rep = empirical_mean(1, 1, 2, 1000)
@@ -188,11 +209,72 @@ class TestEmpiricalSweep:
             empirical_mean(1, 1, 2, 100, checkpoints=[1])
         with pytest.raises(InputRangeError):
             empirical_mean(1, 1, 2, 100, workers=0)
+        with pytest.raises(InputRangeError):
+            empirical_mean(1, 1, 2, 100, workers=MAX_WORKERS + 1)
+
+    def test_pool_never_larger_than_block_count(self, monkeypatch):
+        # the pool refuses to start, so no process is ever created
+        sizes = []
+
+        def refuse(max_workers):
+            sizes.append(max_workers)
+            raise PoolRefused
+
+        monkeypatch.setattr(mean_values, "ProcessPoolExecutor", refuse)
+        # checkpoints 10, 100, 1000 cut the primes below 1000 into three blocks
+        for workers in (2, 3, MAX_WORKERS):
+            with pytest.raises(PoolRefused):
+                empirical_mean(1, 1, 2, 1000, workers=workers)
+        assert sizes == [2, 3, 3]
+        # one block needs no pool at all
+        rep = empirical_mean(1, 1, 2, 1000, checkpoints=[1000], workers=MAX_WORKERS)
+        assert rep.checkpoints[-1].total == 2 * 168
+        assert sizes == [2, 3, 3]
 
     def test_default_checkpoints(self):
         assert default_checkpoints(1000) == [10, 100, 1000]
         assert default_checkpoints(2500) == [10, 100, 1000, 2500]
         assert default_checkpoints(10) == [10]
+
+
+@lru_cache(maxsize=None)
+def oracle_primes(t: int) -> tuple[int, ...]:
+    return tuple(naive_primes(t))
+
+
+def assert_sweep_matches_oracle(r, s, n, t, checkpoints=None):
+    one = empirical_mean(r, s, n, t, checkpoints=checkpoints)
+    two = empirical_mean(r, s, n, t, checkpoints=checkpoints, workers=2)
+    assert one == two
+    primes = oracle_primes(t)
+    for cp in one.checkpoints:
+        below = primes[: bisect_right(primes, cp.t)]
+        assert cp.prime_count == len(below), cp.t
+        assert cp.total == scalar_sweep_total(r, s, n, below), cp.t
+
+
+class TestSweepAgainstScalarLoop:
+    """Class-counted totals against the per-prime loop, at every checkpoint."""
+
+    @pytest.mark.parametrize(
+        "r, s, n, t",
+        [
+            (6, 1, 3, 30000),  # p - 1 in int64
+            (3, 2, 2, 30000),  # p**2 - 1 in int64
+            (2, 3, 3, 2_200_000),  # p**3 past 2**63, L = 8: pow per prime
+            (20, 3, 3, 2_200_000),  # the same with L > 3.04e9
+            (6, 2**40, 2, 30000),  # L = 63, divisible by the primes 3 and 7
+            (40, 2**40, 2, 30000),  # L = 2**40 - 1: pow per prime
+        ],
+    )
+    def test_each_residue_branch(self, r, s, n, t):
+        assert_sweep_matches_oracle(r, s, n, t)
+
+    def test_checkpoints_on_and_next_to_block_cuts(self):
+        # the 20000th and 40000th primes are 224737 and 479909
+        cps = [224736, 224737, 224738, 479908, 479909, 479910]
+        assert_sweep_matches_oracle(6, 1, 3, 480000, cps)
+        assert_sweep_matches_oracle(12, 2, 2, 480000, cps)
 
 
 class TestDivergence:

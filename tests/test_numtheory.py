@@ -1,5 +1,7 @@
+from collections import Counter
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,12 +14,14 @@ from monodyn.numtheory import (
     divisors,
     euler_phi,
     factorize,
+    gcd_classes,
     is_prime,
     max_exponent,
     mobius,
     mobius_terms,
     multiplicative_order,
     pow_minus_one,
+    prime_array,
     prime_power_base,
     prime_powers_up_to,
     primes_up_to,
@@ -240,6 +244,43 @@ class TestPrimes:
     def test_cap(self):
         with pytest.raises(ResourceCapError):
             primes_up_to(SIEVE_CAP + 1)
+        with pytest.raises(ResourceCapError):
+            prime_array(SIEVE_CAP + 1)
+        with pytest.raises(InputRangeError):
+            prime_array(-1)
+
+    def test_odd_only_sieve_every_small_bound(self):
+        for t in range(301):
+            got = prime_array(t)
+            assert got.dtype == np.int64
+            assert got.tolist() == naive_primes(t), t
+
+    def test_odd_only_sieve_at_a_million(self):
+        got = prime_array(10**6)
+        assert got.size == 78498
+        assert got.tolist() == naive_primes(10**6)
+
+
+class TestGcdClasses:
+    VALUES = naive_primes(3000) + [1, 2**21 - 1, 2**21 + 1, 99_999_989]
+
+    @pytest.mark.parametrize(
+        "s, m",
+        [
+            (1, 63),  # v - 1 in int64
+            (2, 80),  # v**2 - 1 in int64
+            (3, 7),  # v**3 past 2**63: pow per value, small m
+            (3, 3**20 - 1),  # pow per value, (m - 1)**2 past 2**63
+            (2**40, 63),
+            (2**40, 2**40 - 1),
+            (5, 1),
+            (1, MAX_INPUT),
+        ],
+    )
+    def test_against_per_value_gcd(self, s, m):
+        want = Counter(gcd((pow(v, s, m) + m - 1) % m, m) for v in self.VALUES)
+        got = gcd_classes(np.array(self.VALUES, dtype=np.int64), s, m)
+        assert got == sorted(want.items())
 
 
 class TestPrimePowers:
