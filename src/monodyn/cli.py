@@ -8,7 +8,8 @@ Subcommands:
   verify   the cross-validation battery (quick or full scope)
 
 Exit codes: 0 success, 1 invariant violation or failed verification,
-2 bad input (including an unwritable --output), 3 resource cap exceeded.
+2 bad input (including an unwritable --output), 3 resource cap exceeded,
+4 internal error (an unexpected exception, reported in one line).
 """
 
 from __future__ import annotations
@@ -291,6 +292,11 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantViolation as exc:
         print(f"invariant violated: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        # a defect, not a verdict: exit 1 stays "a cross-check failed"
+        text = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"error: internal: {text}", file=sys.stderr)
+        return 4
     try:
         _emit(text, args.output)
     except OSError as exc:

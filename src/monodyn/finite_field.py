@@ -262,19 +262,21 @@ def index_element(spec: FieldSpec, i: int) -> Element:
 
 
 @lru_cache(maxsize=1)
-def element_orders(spec: FieldSpec) -> tuple[int, ...]:
+def element_orders(spec: FieldSpec) -> np.ndarray:
     """Orders of all elements, indexed by element_index; slot 0 holds 0.
 
     For each prime power l**e exactly dividing q - 1, y = x**((q-1)/l**e)
     has order the l-part of the order of x, which is l**j for the number
-    j of steps y, y**l, y**(l**2), ... that are not yet 1.  Callers take
-    one field at a time, so only the last table is kept: near the cap a
+    j of steps y, y**l, y**(l**2), ... that are not yet 1.  The table is
+    one int64 array, read-only because it is cached.  Callers take one
+    field at a time, so only the last table is kept: near the cap a
     table holds about 4M entries.
     """
     q = spec.q
     factors = factorize(q - 1).factors
-    out = [0]
-    for x in batches(spec, 1):
+    out = np.zeros(q, dtype=np.int64)
+    lo = 1
+    for x in batches(spec, lo):
         orders = np.ones(x.shape[1], dtype=np.int64)
         for l, e in factors:
             y = _power(spec, x, (q - 1) // l**e)
@@ -282,5 +284,7 @@ def element_orders(spec: FieldSpec) -> tuple[int, ...]:
                 if j:
                     y = _power(spec, y, l)
                 orders[from_digits(spec, y) != 1] *= l
-        out.extend(orders.tolist())
-    return tuple(out)
+        out[lo : lo + len(orders)] = orders
+        lo += len(orders)
+    out.flags.writeable = False
+    return out

@@ -73,23 +73,6 @@ def _order_of_q(q: int, r: int) -> int:
     return 1 if r == 1 else multiplicative_order(q % r, r)
 
 
-def C_r_count(q: int, r: int, t: int) -> int:
-    """Primes of degree <= t whose residue field supports an r-cycle.
-
-    The condition is r | q**d - 1, i.e. d a multiple of ord_r(q);
-    empty when r shares a factor with q.
-    """
-    _check_q(q)
-    if r < 1:
-        raise InputRangeError(f"r must be >= 1, got {r}")
-    if t < 0:
-        raise InputRangeError(f"t must be >= 0, got {t}")
-    if gcd(r, q) > 1:
-        return 0
-    l = _order_of_q(q, r)
-    return sum(irreducible_count(q, d) for d in range(l, t + 1, l))
-
-
 def dirichlet_density_S(q: int, r: int) -> Fraction:
     """Dirichlet density of the primes supporting an r-cycle: 1 / ord_r(q)."""
     _check_q(q)

@@ -1,17 +1,33 @@
 """Brute-force state-space engine for f(x) = a * x**n over GF(q).
 
-Builds the full functional graph as a successor array, decomposes it
-into cycles, tails and weakly connected components in one linear
-pass, and checks the structural facts that the closed-form engine
-predicts.  The vertex 0 always forms its own one-point component,
-because a * x**n = 0 forces x = 0; views of the punctured state space
-(zero removed) are therefore derived from the same decomposition by
-masking index 0 instead of rebuilding.
+Builds the full functional graph as an int32 successor array,
+decomposes it into cycles, tails and weakly connected components with
+whole-array passes, and checks the structural facts that the
+closed-form engine predicts.  The vertex 0 always forms its own
+one-point component, because a * x**n = 0 forces x = 0; views of the
+punctured state space (zero removed) are therefore derived from the
+same decomposition by masking index 0 instead of rebuilding.
 
-The decomposition walks each unresolved vertex forward, marking the
-path, until it either closes a new cycle or lands on resolved ground;
-the path is then folded back with exact tail lengths.  No recursion,
-three states per node, O(q) total.
+`decompose` takes any successor array, not only a monomial one:
+
+- peel: nodes of in-degree 0 are removed layer by layer, and the nodes
+  that are never removed are the periodic ones.  Walking the layers
+  backwards gives every node its tail length and its entry point, the
+  first periodic node on its forward path;
+- cycles: f permutes the periodic nodes.  Pointer doubling on that
+  permutation carries, for every node x, the minimum of the window
+  x, f(x), ..., f^(w-1)(x) and the distance to it, doubling w each
+  step.  Once every window has the same minimum as the window that
+  follows it, the windows tile each cycle, so every node holds its
+  cycle's minimum and its distance to it: about log2 of the longest
+  cycle steps;
+- numbering: components are numbered by their smallest member, and
+  each cycle is listed from the entry point of that member, which is
+  the order in which walks started at 0, 1, 2, ... discover them.
+
+The loops run over peel layers, doubling steps and cycles, never over
+nodes.  No discrete logarithm, Zech table or generator is used: the
+graph is read off the field arithmetic alone.
 """
 
 from __future__ import annotations
@@ -19,6 +35,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import gcd
+
+import numpy as np
 
 from . import monomial
 from .errors import InputRangeError, InvariantViolation
@@ -34,6 +52,12 @@ from .finite_field import (
     power,
 )
 from .numtheory import multiplicative_order
+
+
+#: Graphs of at most this many nodes are decomposed with intp index
+#: arrays, which numpy gathers without converting them first; larger
+#: ones use int32, which halves the working memory near FIELD_CAP.
+INTP_NODES = 2**16
 
 
 @dataclass(frozen=True)
@@ -62,84 +86,142 @@ class Cycle:
 
 @dataclass
 class OrbitStructure:
-    """Full decomposition of the state space; immutable once built."""
+    """Full decomposition of the state space; immutable once built.
+
+    The per-node fields are int32 arrays of length q, indexed by
+    element index.
+    """
 
     q: int
     n: int
     a_index: int
-    successor: list[int]
-    component_id: list[int]
-    cycle_id: list[int]  # -1 off-cycle
-    tail_length: list[int]  # 0 exactly on the periodic part
-    cycles: list[Cycle]
+    successor: np.ndarray  # index of f(x)
+    component_id: np.ndarray  # components numbered by their smallest member
+    cycle_id: np.ndarray  # index into cycles, -1 off-cycle
+    tail_length: np.ndarray  # steps to the periodic part, 0 exactly on it
+    cycles: list[Cycle]  # cycle k lies in component k
     p_brute: dict[int, int]  # exact period -> number of points
     c_brute: dict[int, int]  # cycle length -> number of cycles
     component_count: int
     periodic_total: int
 
 
-def successor_array(sys: DynSystem) -> list[int]:
-    """successor[i] = element_index(f(element i)), one batch at a time."""
+def successor_array(sys: DynSystem) -> np.ndarray:
+    """successor[i] = element_index(f(element i)) as one int32 array."""
     spec = sys.field
-    out: list[int] = []
+    out = np.empty(spec.q, dtype=np.int32)
+    lo = 0
     for x in batches(spec):
         y = power(spec, x, sys.n)
         if sys.a != spec.one():
             y = mul(spec, sys.a, y)
-        out.extend(from_digits(spec, y).tolist())
+        hi = lo + x.shape[1]
+        out[lo:hi] = from_digits(spec, y)
+        lo = hi
     return out
+
+
+def decompose(
+    succ: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[Cycle]]:
+    """Component ids, cycle ids, tail lengths and cycles of a functional graph.
+
+    succ is an integer array with 0 <= succ[i] < len(succ) < 2**31.
+    The three per-node results are int32 arrays; the cycles come in
+    component order, each listed as the module docstring describes.
+    """
+    q = len(succ)
+    itype = np.intp if q <= INTP_NODES else np.int32
+    succ = succ.astype(itype, copy=False)
+    idx = np.arange(q, dtype=itype)
+    slot = np.empty(q, dtype=itype)  # scratch scatter target
+
+    indeg = np.bincount(succ, minlength=q).astype(itype, copy=False)
+    front = idx[indeg == 0]
+    layers = []
+    while len(front):
+        layers.append(front)
+        nxt = succ[front]
+        np.subtract.at(indeg, nxt, itype(1))
+        nxt = nxt[indeg[nxt] == 0]
+        # peeled nodes may share a successor: keep the copy that owns it
+        own = idx[: len(nxt)]
+        slot[nxt] = own
+        front = nxt[slot[nxt] == own]
+    per = idx[indeg > 0]  # never peeled: the periodic nodes, ascending
+    del indeg
+
+    tail = np.zeros(q, dtype=np.int32)
+    entry = idx.copy()
+    for layer in reversed(layers):
+        nxt = succ[layer]
+        tail[layer] = tail[nxt] + 1
+        entry[layer] = entry[nxt]
+    del layers
+
+    # pointer doubling on the permutation of the periodic nodes, in
+    # compact positions 0..m-1 (ascending node order, so the smallest
+    # position is the smallest node)
+    m = len(per)
+    slot[per] = idx[:m]
+    jump = slot[succ[per]]
+    # key = (position of the window minimum) << 32 | (steps to it); the
+    # smaller key of two windows is the smaller minimum, or on a tie the
+    # nearer copy, so one np.minimum merges a window with the next one
+    key = idx[:m].astype(np.int64) << 32
+    w = 1
+    while True:
+        ahead = key[jump]
+        ahead += w
+        np.minimum(ahead, key, out=ahead)
+        # no minimum fell: along the chain x, f^w(x), f^2w(x), ..., which
+        # returns to x, the minima are all equal, so they are the cycle's
+        if (ahead == key).all():
+            break
+        key = ahead
+        jump = jump[jump]
+        w *= 2
+    label = (key >> 32).astype(itype)  # position of the cycle minimum
+    dist = (key & 0xFFFFFFFF).astype(itype)  # steps from the node to it
+    del jump, ahead, key
+
+    heads = np.flatnonzero(label == idx[:m])  # positions of the cycle minima
+    sizes = np.bincount(label, minlength=m)[heads]
+    root = np.empty(q, dtype=itype)
+    root[per] = per[label]
+    root = root[entry]  # the minimum of each node's cycle
+    lowest = np.full(q, q, dtype=itype)
+    np.minimum.at(lowest, root, idx)
+    lowest = lowest[per[heads]]  # smallest member of each component
+    order = np.argsort(lowest)
+    heads, sizes, lowest = heads[order], sizes[order], lowest[order]
+    start = dist[slot[entry[lowest]]]  # listing start to cycle minimum
+    slot[per[heads]] = np.arange(len(heads), dtype=itype)  # component numbers
+    comp = slot[root].astype(np.int32, copy=False)
+    del root, entry, lowest, slot
+
+    cyc = np.full(q, -1, dtype=np.int32)
+    k = comp[per]
+    cyc[per] = k
+    offsets = np.cumsum(sizes) - sizes
+    flat = np.empty(m, dtype=itype)
+    flat[offsets[k] + (start[k] - dist) % sizes[k]] = per
+    flat = flat.tolist()
+    cycles = [
+        Cycle(size, tuple(flat[o : o + size]))
+        for o, size in zip(offsets.tolist(), sizes.tolist())
+    ]
+    return comp, cyc, tail, cycles
 
 
 def build(sys: DynSystem) -> OrbitStructure:
     spec = sys.field
-    q = spec.q
     succ = successor_array(sys)
-    state = bytearray(q)  # 0 new, 1 on the active path, 2 finished
-    comp = [-1] * q
-    cyc = [-1] * q
-    tail = [0] * q
-    cycles: list[Cycle] = []
-    ncomp = 0
-    for start in range(q):
-        if state[start]:
-            continue
-        path: list[int] = []
-        x = start
-        while not state[x]:
-            state[x] = 1
-            path.append(x)
-            x = succ[x]
-        if state[x] == 1:
-            # the walk closed a brand new cycle through x
-            i = len(path) - 1
-            while path[i] != x:
-                i -= 1
-            members = tuple(path[i:])
-            cid = ncomp
-            ncomp += 1
-            k = len(cycles)
-            cycles.append(Cycle(len(members), members))
-            for y in members:
-                comp[y] = cid
-                cyc[y] = k
-                state[y] = 2
-            rest = path[:i]
-            t = 0
-        else:
-            # the walk merged into already resolved territory at x
-            cid = comp[x]
-            rest = path
-            t = tail[x]
-        for j in range(len(rest) - 1, -1, -1):
-            y = rest[j]
-            t += 1
-            comp[y] = cid
-            tail[y] = t
-            state[y] = 2
+    comp, cyc, tail, cycles = decompose(succ)
     c_brute = dict(sorted(Counter(c.length for c in cycles).items()))
     p_brute = {r: r * m for r, m in c_brute.items()}
     return OrbitStructure(
-        q=q,
+        q=spec.q,
         n=sys.n,
         a_index=element_index(spec, sys.a),
         successor=succ,
@@ -149,7 +231,7 @@ def build(sys: DynSystem) -> OrbitStructure:
         cycles=cycles,
         p_brute=p_brute,
         c_brute=c_brute,
-        component_count=ncomp,
+        component_count=len(cycles),
         periodic_total=sum(p_brute.values()),
     )
 
@@ -213,35 +295,39 @@ def check_order_characterization(
         st = build(sys)
     q, n = spec.q, sys.n
     qs = monomial.q_star(q, n)
-    orders = element_orders(spec)
-    tails = st.tail_length
-    cyc_of = st.cycle_id
-    cycles = st.cycles
-    length_by_order: dict[int, int] = {}
+    all_orders = element_orders(spec)
+    cyc = st.cycle_id
+    # index i of the nonzero points sits at position i - 1
+    orders = all_orders[1:]
+    periodic = st.tail_length[1:] == 0
+    wrong_kind = periodic != (qs % orders == 0)
+    checked = periodic & ~wrong_kind
+    lengths = np.array([c.length for c in st.cycles], dtype=np.int64)
+    got = lengths[cyc[1:]]  # -1 reads the last cycle, as list indexing would
+    ords = orders[checked]
+    present = np.bincount(ords)
+    table = np.zeros(len(present), dtype=np.int64)  # order -> cycle length
+    for o in np.flatnonzero(present).tolist():
+        table[o] = 1 if o == 1 else multiplicative_order(n % o, o)
+    want = np.zeros(q - 1, dtype=np.int64)
+    want[checked] = table[ords]
+    wrong_length = checked & (got != want)
     failure = None
-    for i in range(1, q):
-        o = orders[i]
-        periodic = tails[i] == 0
-        if periodic != (qs % o == 0):
-            failure = f"index {i}: order {o} vs q* = {qs}, periodic={periodic}"
-            break
-        if periodic:
-            want = length_by_order.get(o)
-            if want is None:
-                want = 1 if o == 1 else multiplicative_order(n % o, o)
-                length_by_order[o] = want
-            got = cycles[cyc_of[i]].length
-            if got != want:
-                failure = f"index {i}: cycle length {got}, expected {want} for order {o}"
-                break
+    bad = np.flatnonzero(wrong_kind | wrong_length)
+    if len(bad):
+        j = int(bad[0])
+        i, o = j + 1, int(orders[j])
+        if wrong_kind[j]:
+            failure = f"index {i}: order {o} vs q* = {qs}, periodic={bool(periodic[j])}"
+        else:
+            failure = f"index {i}: cycle length {got[j]}, expected {want[j]} for order {o}"
     if failure is None:
-        for c in cycles:
-            if 0 in c.members:
-                continue
-            base = orders[c.members[0]]
-            if any(orders[j] != base for j in c.members):
-                failure = f"cycle through {c.members[0]} mixes element orders"
-                break
+        # the cycle through 0 is skipped; every other cycle keeps one order
+        on = (cyc >= 0) & (cyc != cyc[0])
+        mixed = on & (all_orders != all_orders[st.successor])
+        if mixed.any():
+            first = st.cycles[int(cyc[mixed].min())]
+            failure = f"cycle through {first.members[0]} mixes element orders"
     return OrderCheckReport(q, n, q - 1, failure is None, failure)
 
 
@@ -296,30 +382,37 @@ def export_dot(st: OrbitStructure, header: tuple[str, ...] = ()) -> str:
     lines = ["digraph state_space {"]
     for text in header:
         lines.append(f"  // {text}")
-    for i in range(st.q):
-        mark = " [peripheries=2]" if st.tail_length[i] == 0 else ""
+    for i, t in enumerate(st.tail_length.tolist()):
+        mark = " [peripheries=2]" if t == 0 else ""
         lines.append(f"  {i}{mark};")
-    for i, j in enumerate(st.successor):
+    for i, j in enumerate(st.successor.tolist()):
         lines.append(f"  {i} -> {j};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def orbit_document(st: OrbitStructure) -> dict:
-    """JSON-ready view of the decomposition."""
+    """JSON-ready view of the decomposition.
+
+    The per-node lists take their ints from one object array of the
+    node indices (and -1), so they share q int objects instead of
+    making new ones per list.
+    """
+    ints = np.empty(st.q + 1, dtype=object)
+    ints[:] = range(-1, st.q)  # ints[k + 1] is k
     return {
         "kind": "orbit_structure",
         "q": st.q,
         "n": st.n,
         "a_index": st.a_index,
-        "successor": list(st.successor),
+        "successor": ints[st.successor + 1].tolist(),
         "cycles": [
             {"length": c.length, "members": list(c.members)} for c in st.cycles
         ],
         "node_info": {
-            "component_id": list(st.component_id),
-            "cycle_id": list(st.cycle_id),
-            "tail_length": list(st.tail_length),
+            "component_id": ints[st.component_id + 1].tolist(),
+            "cycle_id": ints[st.cycle_id + 1].tolist(),
+            "tail_length": st.tail_length.tolist(),
         },
         "aggregates": {
             "periodic_by_period": st.p_brute,
@@ -328,4 +421,3 @@ def orbit_document(st: OrbitStructure) -> dict:
             "periodic_total": st.periodic_total,
         },
     }
-

@@ -244,15 +244,21 @@ def max_exponent(n: int) -> int:
 
 
 def pow_minus_one(n: int, r: int) -> int:
-    """n**r - 1, rejected once it leaves the 63-bit input range."""
+    """n**r - 1, rejected once it leaves the 63-bit input range.
+
+    r is compared with max_exponent(n) before any power is formed, so a
+    huge r costs nothing; a huge n with r = 1 is caught by the value.
+    """
     if n < 2 or r < 1:
         raise InputRangeError("need n >= 2 and r >= 1")
-    val = n**r - 1
-    if val > MAX_INPUT:
-        raise InputRangeError(
-            f"n**r - 1 exceeds 2**63 - 1; for n = {n} the largest admissible r is {max_exponent(n)}"
-        )
-    return val
+    cap = max_exponent(n)
+    if r <= cap:
+        val = n**r - 1
+        if val <= MAX_INPUT:
+            return val
+    raise InputRangeError(
+        f"n**r - 1 exceeds 2**63 - 1; for n = {n} the largest admissible r is {cap}"
+    )
 
 
 def prime_array(t: int) -> np.ndarray:

@@ -236,3 +236,108 @@ def element_order(spec, x: tuple) -> int:
         while o % pf == 0 and scalar_power(spec, x, o // pf) == one:
             o //= pf
     return o
+
+
+# ---------------------------------------------------------------------------
+# scalar decomposition of a functional graph and the scalar order check
+
+
+def scalar_build(succ: list[int]) -> tuple[list, list, list, list]:
+    """(component_id, cycle_id, tail_length, cycles) of a successor list.
+
+    Walks each unresolved node forward, marking the path, until it
+    either closes a new cycle or lands on resolved ground; the path is
+    then folded back with exact tail lengths.  Three states per node,
+    O(q) in total.  Components and cycles are numbered in the order the
+    walks started at 0, 1, 2, ... discover them; cycles are member
+    tuples listed from the node where the discovering walk entered.
+    """
+    q = len(succ)
+    state = bytearray(q)  # 0 new, 1 on the active path, 2 finished
+    comp = [-1] * q
+    cyc = [-1] * q
+    tail = [0] * q
+    cycles: list[tuple[int, ...]] = []
+    for start in range(q):
+        if state[start]:
+            continue
+        path: list[int] = []
+        x = start
+        while not state[x]:
+            state[x] = 1
+            path.append(x)
+            x = succ[x]
+        if state[x] == 1:
+            # the walk closed a brand new cycle through x
+            i = path.index(x)
+            members = tuple(path[i:])
+            cid = len(cycles)
+            cycles.append(members)
+            for y in members:
+                comp[y] = cid
+                cyc[y] = cid
+                state[y] = 2
+            rest = path[:i]
+            t = 0
+        else:
+            # the walk merged into already resolved territory at x
+            cid = comp[x]
+            rest = path
+            t = tail[x]
+        for y in reversed(rest):
+            t += 1
+            comp[y] = cid
+            tail[y] = t
+            state[y] = 2
+    return comp, cyc, tail, cycles
+
+
+def scalar_order_check(
+    n: int,
+    qs: int,
+    orders: list[int],
+    tails: list[int],
+    cycle_id: list[int],
+    cycles: list[tuple[int, tuple[int, ...]]],
+) -> str | None:
+    """The failure text of the order characterization, or None.
+
+    Point by point in index order: periodic (tail 0) iff the order
+    divides qs, and a periodic point lies on a cycle whose length is the
+    order of n modulo its element order; then, cycle by cycle, every
+    cycle not through 0 keeps one element order.  cycles holds
+    (length, members) pairs as the structure records them.
+    """
+    for i in range(1, len(orders)):
+        o = orders[i]
+        periodic = tails[i] == 0
+        if periodic != (qs % o == 0):
+            return f"index {i}: order {o} vs q* = {qs}, periodic={periodic}"
+        if periodic:
+            want = naive_order(n, o)
+            got = cycles[cycle_id[i]][0]
+            if got != want:
+                return f"index {i}: cycle length {got}, expected {want} for order {o}"
+    for _, members in cycles:
+        if 0 in members:
+            continue
+        if any(orders[j] != orders[members[0]] for j in members):
+            return f"cycle through {members[0]} mixes element orders"
+    return None
+
+
+# ---------------------------------------------------------------------------
+# function-field counts by their literal definitions
+
+
+def naive_irreducible_count(q: int, d: int) -> int:
+    """Monic irreducibles of degree d over GF(q), by the necklace formula."""
+    return sum(naive_mobius(d // k) * q**k for k in naive_divisors(d)) // d
+
+
+def C_r_count(q: int, r: int, t: int) -> int:
+    """Primes of F_q(T) of degree <= t whose residue field GF(q**d) has
+    an r-cycle of some power map, i.e. r divides q**d - 1."""
+    return sum(
+        naive_irreducible_count(q, d) for d in range(1, t + 1) if (q**d - 1) % r == 0
+    )

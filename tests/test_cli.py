@@ -2,10 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+import monodyn.cli
 import monodyn.mean_values
 import monodyn.monomial
 from monodyn.cli import main
@@ -226,6 +228,15 @@ class TestSweep:
             assert err.startswith("error:") and too_many in err
             assert err.count("\n") == 1
 
+    def test_huge_r_refused_before_any_power(self, capsys):
+        # n**r - 1 for r = 10**7 has millions of digits; the cap on r
+        # must refuse it before the power is formed
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "sweep", "--r", "10000000", "--n", "3", "--t", "2")
+        assert code == 2 and out == ""
+        assert "largest admissible r is 39" in err
+        assert time.perf_counter() - t0 < 1.0
+
     def test_threads_flag_overrides_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("MONODYN_THREADS", "abc")
         code, _, _ = run(
@@ -334,6 +345,28 @@ class TestVerify:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("FAIL"), proc.stdout
+
+
+class TestInternalErrors:
+    def test_unexpected_exception_exits_4(self, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("disk on fire\nsecond line")
+
+        monkeypatch.setattr(monodyn.cli, "_cmd_analyze", broken)
+        code, out, err = run(capsys, "analyze", "--q", "7", "--n", "2")
+        assert code == 4 and out == ""
+        assert err == "error: internal: RuntimeError: disk on fire second line\n"
+        assert "Traceback" not in err
+
+    def test_typed_errors_keep_their_codes(self, capsys, monkeypatch):
+        from monodyn.errors import InvariantViolation
+
+        def broken(args):
+            raise InvariantViolation("made up")
+
+        monkeypatch.setattr(monodyn.cli, "_cmd_graph", broken)
+        code, _, err = run(capsys, "graph", "--q", "7", "--n", "2")
+        assert code == 1 and err.startswith("invariant violated")
 
 
 class TestParsing:

@@ -225,7 +225,7 @@ class TestOrders:
         assert element_order(spec, (3,)) == 6
         assert element_order(spec, (2,)) == 3
         assert element_order(spec, spec.one()) == 1
-        assert element_orders(spec) == (0, 1, 3, 6, 3, 6, 2)
+        assert tuple(element_orders(spec)) == (0, 1, 3, 6, 3, 6, 2)
 
     def test_zero_rejected(self):
         spec = make_field(7)
@@ -257,6 +257,6 @@ class TestOrders:
             whole = element_orders(spec)
             element_orders.cache_clear()
             monkeypatch.setattr(finite_field, "CHUNK", 7)
-            assert element_orders(spec) == whole, (p, s)
+            assert element_orders(spec).tolist() == whole.tolist(), (p, s)
             monkeypatch.undo()
             element_orders.cache_clear()

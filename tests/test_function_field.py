@@ -4,7 +4,6 @@ import pytest
 
 from monodyn.errors import InputRangeError, InvariantViolation
 from monodyn.function_field import (
-    C_r_count,
     dirichlet_C_K,
     dirichlet_D_K,
     dirichlet_density_S,
@@ -17,7 +16,7 @@ from monodyn.function_field import (
 from monodyn.mean_values import divergence_series
 from monodyn.numtheory import multiplicative_order
 
-from oracles import brute_irreducible_counts
+from oracles import C_r_count, brute_irreducible_counts
 
 
 Q_RANGE = (2, 3, 4, 5, 7, 8, 9)

@@ -1,16 +1,20 @@
+import dataclasses
 import json
+import random
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from monodyn import finite_field, monomial
+from monodyn import finite_field, graph_engine, monomial
 from monodyn.errors import InputRangeError, InvariantViolation
 from monodyn.finite_field import index_element, make_field
 from monodyn.graph_engine import (
     build,
     check_order_characterization,
+    decompose,
     dichotomy_report,
     export_dot,
     has_nonzero_fixed,
@@ -25,7 +29,12 @@ from monodyn.graph_engine import (
 from monodyn.numtheory import prime_powers_up_to
 from monodyn.reporting import render_json
 
-from oracles import exact_periods_by_iteration, scalar_successor
+from oracles import (
+    exact_periods_by_iteration,
+    scalar_build,
+    scalar_order_check,
+    scalar_successor,
+)
 
 
 def system(q: int, n: int, a_index: int = 1):
@@ -38,7 +47,7 @@ def system(q: int, n: int, a_index: int = 1):
 class TestSuccessor:
     def test_squaring_mod_7(self):
         succ = successor_array(system(7, 2))
-        assert succ == [0, 1, 4, 2, 2, 4, 1]
+        assert succ.tolist() == [0, 1, 4, 2, 2, 4, 1]
 
     def test_extension_field_frobenius(self):
         # x -> x**2 on GF(4) is the Frobenius: fixes GF(2), swaps the rest
@@ -75,14 +84,14 @@ class TestSuccessor:
             for n in (2, 3, 5, 16):
                 for a in sorted({1, q - 1}):
                     got = successor_array(monomial_system(spec, n, a))
-                    assert got == scalar_successor(spec, n, a), (q, n, a)
+                    assert got.tolist() == scalar_successor(spec, n, a), (q, n, a)
 
     def test_chunk_boundaries(self, monkeypatch):
         for q, n, a in ((64, 3, 5), (97, 2, 1), (125, 16, 124)):
             sys = system(q, n, a)
             whole = successor_array(sys)
             monkeypatch.setattr(finite_field, "CHUNK", 7)
-            assert successor_array(sys) == whole, (q, n, a)
+            assert successor_array(sys).tolist() == whole.tolist(), (q, n, a)
             monkeypatch.undo()
 
     def test_input_validation(self):
@@ -150,6 +159,68 @@ class TestDecomposition:
                 prof = monomial.profile(q, n)
                 assert struct.p_brute == prof.per_period, (q, n)
                 assert struct.c_brute == prof.per_length, (q, n)
+
+
+def as_scalar(comp, cyc, tail, cycles) -> tuple:
+    """A decomposition in the oracle's shape: lists and member tuples."""
+    return comp.tolist(), cyc.tolist(), tail.tolist(), [c.members for c in cycles]
+
+
+#: Maps that stress the peel depth and the doubling stop rule.
+SHAPES = ("random", "one cycle", "long path", "fixed points")
+
+
+def shaped_map(shape: str, q: int, draws: list[int]) -> list[int]:
+    if shape == "random":
+        return [d % q for d in draws[:q]] + [0] * max(0, q - len(draws))
+    if shape == "one cycle":  # a single q-cycle through the nodes, shuffled
+        order = list(range(q))
+        random.Random(sum(draws)).shuffle(order)
+        succ = [0] * q
+        for a, b in zip(order, order[1:] + order[:1]):
+            succ[a] = b
+        return succ
+    if shape == "long path":  # q - 1, q - 2, ..., 1 run into the fixed point 0
+        return [max(i - 1, 0) for i in range(q)]
+    return list(range(q))
+
+
+class TestArrayDecomposition:
+    def test_matches_scalar_walk_on_every_small_field(self):
+        # every field of the acceptance range up to 1024, every exponent of
+        # the structure sweep, three coefficients each
+        rng = random.Random(20240601)
+        for q, p, s in prime_powers_up_to(1024):
+            spec = make_field(p, s)
+            for n in range(2, 17):
+                for a in sorted({1, q - 1, rng.randrange(1, q)}):
+                    st_ = build(monomial_system(spec, n, a))
+                    got = as_scalar(st_.component_id, st_.cycle_id, st_.tail_length, st_.cycles)
+                    assert got == scalar_build(st_.successor.tolist()), (q, n, a)
+                    assert all(c.length == len(c.members) for c in st_.cycles)
+
+    def test_stores_int32_arrays(self):
+        st_ = build(system(97, 3))
+        for field in ("successor", "component_id", "cycle_id", "tail_length"):
+            arr = getattr(st_, field)
+            assert arr.dtype == np.int32 and arr.shape == (97,), field
+
+    @pytest.mark.parametrize("intp_nodes", [graph_engine.INTP_NODES, 0])
+    @given(
+        shape=st.sampled_from(SHAPES),
+        q=st.integers(min_value=1, max_value=200),
+        draws=st.lists(st.integers(min_value=0, max_value=10**6), max_size=200),
+    )
+    def test_arbitrary_maps(self, intp_nodes, shape, q, draws):
+        # intp_nodes 0 sends every graph down the int32 path of large fields
+        saved = graph_engine.INTP_NODES
+        graph_engine.INTP_NODES = intp_nodes
+        try:
+            succ = shaped_map(shape, q, draws)
+            got = as_scalar(*decompose(np.array(succ, dtype=np.int32)))
+        finally:
+            graph_engine.INTP_NODES = saved
+        assert got == scalar_build(succ), (shape, q)
 
 
 class TestConnectivity:
@@ -229,6 +300,74 @@ class TestOrderCharacterization:
                 assert rep.passed, (q, n, rep.failure)
                 assert rep.checked == q - 1
 
+    @staticmethod
+    def scalar_failure(sys, st_, orders) -> str | None:
+        q, n = sys.field.q, sys.n
+        cycles = [(c.length, c.members) for c in st_.cycles]
+        return scalar_order_check(
+            n, monomial.q_star(q, n), list(orders), st_.tail_length.tolist(),
+            st_.cycle_id.tolist(), cycles,
+        )
+
+    def corrupted_orders(self, monkeypatch, orders):
+        table = np.array(orders, dtype=np.int64)
+        monkeypatch.setattr(graph_engine, "element_orders", lambda spec: table)
+
+    def test_agrees_with_scalar_check_on_intact_structures(self):
+        for q, _, _ in prime_powers_up_to(128):
+            for n in (2, 3, 4):
+                sys = system(q, n)
+                st_ = build(sys)
+                orders = finite_field.element_orders(sys.field)
+                assert self.scalar_failure(sys, st_, orders) is None
+                assert check_order_characterization(sys, st_).failure is None
+
+    def test_flipped_tail_reports_like_scalar_check(self):
+        sys = system(31, 2)
+        st_ = build(sys)
+        orders = finite_field.element_orders(sys.field).tolist()
+        for node in (1, 2, 3, 5, 30):
+            for new in (0, 1):
+                tails = st_.tail_length.copy()
+                if tails[node] == new:
+                    continue
+                tails[node] = new
+                broken = dataclasses.replace(st_, tail_length=tails)
+                want = self.scalar_failure(sys, broken, orders)
+                assert want is not None
+                assert check_order_characterization(sys, broken).failure == want
+
+    def test_wrong_cycle_length_reports_like_scalar_check(self):
+        sys = system(31, 2)
+        st_ = build(sys)
+        orders = finite_field.element_orders(sys.field).tolist()
+        for k, c in enumerate(st_.cycles):
+            cycles = list(st_.cycles)
+            cycles[k] = dataclasses.replace(c, length=c.length + 1)
+            broken = dataclasses.replace(st_, cycles=cycles)
+            want = self.scalar_failure(sys, broken, orders)
+            got = check_order_characterization(sys, broken).failure
+            assert got == want, k
+            assert (want is None) == (0 in c.members), k
+
+    def test_swapped_orders_report_like_scalar_check(self, monkeypatch):
+        # GF(31), n = 2: q* = 15; points of order 5 and 15 both lie on
+        # 4-cycles, so swapping them trips only the one-order-per-cycle rule
+        sys = system(31, 2)
+        st_ = build(sys)
+        orders = finite_field.element_orders(sys.field).tolist()
+        i5, i15 = orders.index(5), orders.index(15)
+        seen = set()
+        for i, j in ((i5, i15), (1, 2), (2, 3), (orders.index(3), i5)):
+            swapped = list(orders)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            self.corrupted_orders(monkeypatch, swapped)
+            want = self.scalar_failure(sys, st_, swapped)
+            got = check_order_characterization(sys, st_).failure
+            assert got == want and want is not None, (i, j)
+            seen.add(want.split()[0] + (" mix" if "mixes" in want else ""))
+        assert seen == {"index", "cycle mix"}
+
     def test_refuses_other_coefficients(self):
         with pytest.raises(InputRangeError):
             check_order_characterization(system(7, 2, a_index=3))
@@ -301,7 +440,7 @@ class TestExports:
     def test_json_round_trip(self):
         struct = build(system(9, 2, a_index=4))
         doc = json.loads(render_json(orbit_document(struct)))
-        assert doc["successor"] == struct.successor
+        assert doc["successor"] == struct.successor.tolist()
         assert doc["q"] == 9 and doc["n"] == 2 and doc["a_index"] == 4
         assert doc["aggregates"]["periodic_total"] == struct.periodic_total
         # integer keys survive as their decimal strings
