@@ -134,7 +134,7 @@ def decompose(
     itype = np.intp if q <= INTP_NODES else np.int32
     succ = succ.astype(itype, copy=False)
     idx = np.arange(q, dtype=itype)
-    slot = np.empty(q, dtype=itype)  # scratch scatter target
+    slot = np.empty(q, dtype=itype)  # scatter target, reused below
 
     indeg = np.bincount(succ, minlength=q).astype(itype, copy=False)
     front = idx[indeg == 0]
