@@ -9,7 +9,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 invariant violation or failed verification,
 2 bad input (including an unwritable --output), 3 resource cap exceeded,
-4 internal error (an unexpected exception, reported in one line).
+4 internal error (an unexpected exception, reported in one line; this
+includes a verify check that crashes rather than fails).
 """
 
 from __future__ import annotations

@@ -4,8 +4,9 @@ Each check pits an independent computation route against a formula:
 functional-graph decompositions against Moebius counts, Dirichlet
 means against direct divisor sums, prime sweeps against their limits.
 A check never trusts the code it is checking, so any failure isolates
-a real defect.  Two scopes are provided: quick (seconds, suitable for
-CI) and full (minutes, the acceptance ranges).
+a real defect.  Two scopes are provided: quick (a second or two,
+suitable for CI) and full (the acceptance ranges, about 15 s on a
+two-core host).
 """
 
 from __future__ import annotations
@@ -18,16 +19,29 @@ from fractions import Fraction
 import numpy as np
 
 from . import finite_field, function_field, graph_engine, mean_values, monomial
-from .errors import InputRangeError
+from .errors import InputRangeError, InvariantViolation
 from .numtheory import divisors, prime_powers_up_to, tau, v_s
 
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check of the battery.
+
+    failures: what failed, in the order found; empty iff the check passed.
+    counts: what the check covered, e.g. {"fields": 466, "systems": 6990}.
+    detail: the text `monodyn verify` prints after the verdict.
+    seconds: wall time of the check.
+    """
+
     name: str
-    ok: bool
+    failures: tuple
+    counts: dict
     detail: str
     seconds: float
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
 
 @dataclass(frozen=True)
@@ -41,30 +55,19 @@ class VerificationSummary:
         return all(r.ok for r in self.results)
 
 
-@dataclass(frozen=True)
-class SweepOutcome:
-    fields: int
-    systems: int
-    formula_failures: list
-    structural_failures: list
-    order_failures: list
-
-
-def structure_sweep(
-    q_limit: int, n_max: int, check_orders: bool = True
-) -> SweepOutcome:
+def structure_sweep(q_limit: int, n_max: int) -> tuple[list, dict]:
     """Compare the closed-form cycle profile with brute force on every
     prime power q <= q_limit and every exponent 2 <= n <= n_max.
 
     Also checks the structural predicates: the full graph is never
     weakly connected, the nonzero part is weakly connected iff
     q* = 1, strongly connected iff q = 2, and the system is all
-    fixed points iff r-hat = 1.
+    fixed points iff r-hat = 1; and the element-order characterization
+    of periodic points.  Failures are tagged "formula", "structure" or
+    "orders"; counts are the fields and systems swept.
     """
     fields = systems = 0
-    formula_failures = []
-    structural_failures = []
-    order_failures = []
+    failures = []
     for q, p, s in prime_powers_up_to(q_limit):
         spec = finite_field.make_field(p, s)
         fields += 1
@@ -74,7 +77,7 @@ def structure_sweep(
             st = graph_engine.build(sys_)
             prof = monomial.profile(q, n)
             if st.p_brute != prof.per_period or st.c_brute != prof.per_length:
-                formula_failures.append((q, n, st.p_brute, prof.per_period))
+                failures.append(("formula", q, n, st.p_brute, prof.per_period))
             qs = monomial.q_star(q, n)
             max_len = max(c.length for c in st.cycles)
             preds = (
@@ -87,32 +90,21 @@ def structure_sweep(
                 st.periodic_total == qs + 1,
             )
             if not all(preds):
-                structural_failures.append((q, n, preds))
-            if check_orders:
-                rep = graph_engine.check_order_characterization(sys_, st)
-                if not rep.passed:
-                    order_failures.append((q, n, rep.failure))
-    return SweepOutcome(
-        fields, systems, formula_failures, structural_failures, order_failures
-    )
-
-
-@dataclass(frozen=True)
-class DichotomyOutcome:
-    systems: int
-    total_failures: list
-    formula_failures: list
+                failures.append(("structure", q, n, preds))
+            rep = graph_engine.check_order_characterization(sys_, st)
+            if not rep.passed:
+                failures.append(("orders", q, n, rep.failure))
+    return failures, {"fields": fields, "systems": systems}
 
 
 def dichotomy_sweep(
     q_limit: int, n_max: int, draws: int, seed: int
-) -> DichotomyOutcome:
+) -> tuple[list, dict]:
     """Random twisted systems a * x**n: the periodic total must stay
-    q* + 1, and a nonzero fixed point must exist iff a is an
-    (n-1)-th power."""
+    q* + 1 (failures tagged "total"), and a nonzero fixed point must
+    exist iff a is an (n-1)-th power (tagged "formula")."""
     systems = 0
-    total_failures = []
-    formula_failures = []
+    failures = []
     for q, p, s in prime_powers_up_to(q_limit):
         spec = finite_field.make_field(p, s)
         rng = random.Random(seed * 1_000_003 + q)
@@ -124,57 +116,52 @@ def dichotomy_sweep(
             st = graph_engine.build(sys_)
             rep = graph_engine.dichotomy_report(sys_, st, strict=False)
             if not rep.totals_match:
-                total_failures.append((q, n, a_index))
+                failures.append(("total", q, n, a_index))
             if rep.formula_match is False:
-                formula_failures.append((q, n, a_index))
-    return DichotomyOutcome(systems, total_failures, formula_failures)
+                failures.append(("formula", q, n, a_index))
+    return failures, {"systems": systems}
 
 
-def mean_identity_failures(r_max: int, s_max: int, n_max: int) -> list:
-    """dirichlet_D must equal analytic_N wherever both are defined."""
-    bad = []
+def mean_identities(
+    rsn: tuple[int, int, int], m_max: int, ls: tuple[int, int]
+) -> tuple[list, dict]:
+    """The mean-value identities, each route against an independent one:
+
+    - dirichlet_D = analytic_N on every (r, s, n) up to rsn;
+    - for s = 1 the gcd mean collapses to the divisor count: analytic_I
+      on m <= m_max, the slower density route on m <= 300 (tagged "tau");
+    - v_s(l) against a direct count of s-th roots of unity mod l, on
+      (l, s) up to ls.
+
+    Counts are the (r, s, n) triples, m_max and the (l, s) pairs.
+    """
+    failures = []
+    r_max, s_max, n_max = rsn
     for n in range(2, n_max + 1):
         for s in range(1, s_max + 1):
             for r in range(1, r_max + 1):
                 a = mean_values.analytic_N(r, s, n)
                 d = mean_values.dirichlet_D(r, s, n)
                 if a != d:
-                    bad.append((r, s, n, a, d))
-    return bad
-
-
-def tau_identity_failures(m_max: int) -> list:
-    """For s = 1 the gcd mean collapses to the divisor count.
-
-    The direct route is checked on the full range; the slower
-    density route on the first 300 values.
-    """
-    bad = [
-        m
-        for m in range(1, m_max + 1)
-        if mean_values.analytic_I(m, 1) != tau(m)
-    ]
-    bad += [
-        m
-        for m in range(1, min(m_max, 300) + 1)
-        if mean_values.density_mean_gcd(m, 1) != tau(m)
-    ]
-    return bad
-
-
-def v_s_failures(l_max: int, s_max: int) -> list:
-    """Check v_s(l) against a direct count of s-th roots of unity mod l."""
-    bad = []
+                    failures.append((r, s, n, a, d))
+    for m in range(1, m_max + 1):
+        if mean_values.analytic_I(m, 1) != tau(m):
+            failures.append(("tau", m))
+    for m in range(1, min(m_max, 300) + 1):
+        if mean_values.density_mean_gcd(m, 1) != tau(m):
+            failures.append(("tau", m))
+    l_max, vs_max = ls
     for l in range(1, l_max + 1):
         xs = np.arange(l, dtype=np.int64)
         units = xs[np.gcd(xs, l) == 1] if l > 1 else np.array([0])
         y = np.ones_like(units)
-        for s in range(1, s_max + 1):
+        for s in range(1, vs_max + 1):
             y = y * units % l
             count = int(np.count_nonzero(y == 1 % l))
             if count != v_s(s, l):
-                bad.append((s, l, count, v_s(s, l)))
-    return bad
+                failures.append((s, l, count, v_s(s, l)))
+    triples = r_max * s_max * (n_max - 1)
+    return failures, {"rsn": triples, "tau_m": m_max, "v_s_ls": l_max * vs_max}
 
 
 #: Convergence test points: limits exist but are only approached, so the
@@ -183,8 +170,11 @@ def v_s_failures(l_max: int, s_max: int) -> list:
 CONVERGENCE_TUPLES = ((1, 1, 3), (1, 1, 5), (2, 1, 2), (1, 2, 2))
 
 
-def convergence_failures(t_small: int, t_big: int, workers: int = 1) -> list:
-    """Prime-sweep means must approach their limits as the bound grows."""
+def sweep_convergence(
+    t_small: int, t_big: int, workers: int = 1
+) -> tuple[list, dict]:
+    """Prime-sweep means must approach their limits as the bound grows.
+    Counts hold the bound t."""
     bad = []
     for r, s, n in CONVERGENCE_TUPLES:
         rep = mean_values.empirical_mean(
@@ -199,7 +189,7 @@ def convergence_failures(t_small: int, t_big: int, workers: int = 1) -> list:
     rep = mean_values.empirical_mean(1, 1, 2, t_big, workers=workers)
     if any(cp.mean != 2 for cp in rep.checkpoints):
         bad.append((1, 1, 2, "mean not identically 2"))
-    return bad
+    return bad, {"t": t_big}
 
 
 def _require(ok: bool, detail) -> None:
@@ -272,9 +262,21 @@ def _check_divergence() -> None:
     _require(k.point_sums[-1] > k.point_sums[0] + 5, k.point_sums[-1])
 
 
+#: What `monodyn verify` prints after a pass, filled in from the counts.
+PASS_DETAIL = {
+    "structure_sweep": "{systems} systems over {fields} fields",
+    "dichotomy_sweep": "{systems} random twisted systems",
+    "mean_identities": "analytic = Dirichlet on all tested (r, s, n)",
+    "sweep_convergence": "means within 1/50 of limits at t = {t}",
+}
+
+
 def run_verification(
     scope: str, seed: int = 0, threads: int = 1
 ) -> VerificationSummary:
+    """Run every check of the battery at one scope.  A check fails by
+    returning failures or by raising AssertionError or InvariantViolation;
+    any other exception is a defect, not a verdict, and propagates."""
     if scope == "quick":
         q_limit, n_max, draws = 300, 8, 5
         t_small, t_big = 2_000, 20_000
@@ -286,54 +288,29 @@ def run_verification(
     else:
         raise InputRangeError(f"scope must be 'quick' or 'full', got {scope!r}")
 
+    # a check returns (failures, counts), except the golden checks,
+    # which raise on failure and return nothing
+    checks = (
+        ("structure_sweep", lambda: structure_sweep(q_limit, n_max)),
+        ("dichotomy_sweep", lambda: dichotomy_sweep(q_limit, n_max, draws, seed)),
+        ("mean_identities", lambda: mean_identities(id_rsn, tau_max, vs_lim)),
+        ("sweep_convergence", lambda: sweep_convergence(t_small, t_big, threads)),
+        ("golden_profiles", _check_profiles),
+        ("ff_oscillation", _check_oscillation),
+        ("ff_dirichlet_means", _check_ff_means),
+        ("divergence", _check_divergence),
+    )
     results = []
-
-    def record(name: str, fn) -> None:
+    for name, check in checks:
         t0 = time.perf_counter()
         try:
-            detail = fn()
-            ok = True
-        except Exception as exc:  # noqa: BLE001 - report, do not crash
-            detail = f"{type(exc).__name__}: {exc}"
-            ok = False
-        results.append(
-            CheckResult(name, ok, detail or "", time.perf_counter() - t0)
-        )
-
-    def structure() -> str:
-        out = structure_sweep(q_limit, n_max)
-        bad = out.formula_failures + out.structural_failures + out.order_failures
-        if bad:
-            raise AssertionError(f"{len(bad)} failures, first: {bad[0]}")
-        return f"{out.systems} systems over {out.fields} fields"
-
-    def dichotomy() -> str:
-        out = dichotomy_sweep(q_limit, n_max, draws, seed)
-        bad = out.total_failures + out.formula_failures
-        if bad:
-            raise AssertionError(f"{len(bad)} failures, first: {bad[0]}")
-        return f"{out.systems} random twisted systems"
-
-    def identities() -> str:
-        bad = mean_identity_failures(*id_rsn)
-        bad += [("tau", m) for m in tau_identity_failures(tau_max)]
-        bad += v_s_failures(*vs_lim)
-        if bad:
-            raise AssertionError(f"{len(bad)} failures, first: {bad[0]}")
-        return "analytic = Dirichlet on all tested (r, s, n)"
-
-    def convergence() -> str:
-        bad = convergence_failures(t_small, t_big, workers=threads)
-        if bad:
-            raise AssertionError(f"{len(bad)} failures, first: {bad[0]}")
-        return f"means within 1/50 of limits at t = {t_big}"
-
-    record("structure_sweep", structure)
-    record("dichotomy_sweep", dichotomy)
-    record("mean_identities", identities)
-    record("sweep_convergence", convergence)
-    record("golden_profiles", lambda: (_check_profiles(), "")[1])
-    record("ff_oscillation", lambda: (_check_oscillation(), "")[1])
-    record("ff_dirichlet_means", lambda: (_check_ff_means(), "")[1])
-    record("divergence", lambda: (_check_divergence(), "")[1])
+            failures, counts = check() or ((), {})
+        except (AssertionError, InvariantViolation) as exc:
+            failures, counts = (f"{type(exc).__name__}: {exc}",), {}
+        seconds = time.perf_counter() - t0
+        if failures:
+            detail = f"{len(failures)} failures, first: {failures[0]}"
+        else:
+            detail = PASS_DETAIL.get(name, "").format(**counts)
+        results.append(CheckResult(name, tuple(failures), counts, detail, seconds))
     return VerificationSummary(scope, seed, tuple(results))

@@ -1,13 +1,19 @@
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import monodyn.cli
+import monodyn.graph_engine
 import monodyn.mean_values
 import monodyn.monomial
 from monodyn.cli import main
@@ -303,14 +309,43 @@ class TestFfield:
         assert code == 2
 
 
+#: `monodyn verify --scope quick --seed 7` with each [x.xxs] masked.
+QUICK_VERIFY = """\
+PASS  structure_sweep  [s]  (553 systems over 79 fields)
+PASS  dichotomy_sweep  [s]  (395 random twisted systems)
+PASS  mean_identities  [s]  (analytic = Dirichlet on all tested (r, s, n))
+PASS  sweep_convergence  [s]  (means within 1/50 of limits at t = 20000)
+PASS  golden_profiles  [s]
+PASS  ff_oscillation  [s]
+PASS  ff_dirichlet_means  [s]
+PASS  divergence  [s]
+OK: 8/8 checks passed (scope=quick, seed=7)
+"""
+
+
 class TestVerify:
     def test_quick_scope_passes(self, capsys):
-        code, out, _ = run(capsys, "verify", "--scope", "quick", "--seed", "7")
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert all(line.startswith("PASS") for line in lines[:-1])
-        assert lines[-1].startswith("OK:")
-        assert "seed=7" in lines[-1]
+        code, out, err = run(capsys, "verify", "--scope", "quick", "--seed", "7")
+        assert code == 0 and err == ""
+        assert re.sub(r"\[\d+\.\d\ds\]", "[s]", out) == QUICK_VERIFY
+
+    def test_detects_broken_predicate(self, capsys, monkeypatch):
+        monkeypatch.setattr(monodyn.graph_engine, "star_connected", lambda st: False)
+        code, out, _ = run(capsys, "verify", "--scope", "quick")
+        assert code == 1
+        line = next(ln for ln in out.splitlines() if "structure_sweep" in ln)
+        assert line.startswith("FAIL  structure_sweep  [")
+        assert re.search(r"\(\d+ failures, first: \('structure', ", line), line
+
+    def test_defect_in_a_check_is_internal_error(self, capsys, monkeypatch):
+        # a check that crashes is a defect (exit 4), not a failed check (exit 1)
+        def broken(q, n):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setattr(monodyn.monomial, "profile", broken)
+        code, out, err = run(capsys, "verify", "--scope", "quick")
+        assert code == 4 and out == ""
+        assert err == "error: internal: TypeError: unsupported operand\n"
 
     def test_detects_broken_formula(self, capsys, monkeypatch):
         real = monodyn.monomial.periodic_count
@@ -367,6 +402,63 @@ class TestInternalErrors:
         monkeypatch.setattr(monodyn.cli, "_cmd_graph", broken)
         code, _, err = run(capsys, "graph", "--q", "7", "--n", "2")
         assert code == 1 and err.startswith("invariant violated")
+
+
+#: Fuzz values: edges and small fields, a few large in-cap values, and
+#: over-cap values that must be refused before any work starts.  Graph
+#: and --brute fields stay at q <= 2**16: their in-cap cost grows with q
+#: (GF(2**22) takes minutes), and at this size a call takes under a second.
+FIELD_Q = st.integers(-2, 70) | st.sampled_from((243, 256, 4096, 65521))
+OVER_CAP = st.sampled_from((2**22 + 1, 2**63, 2**64 + 13, 10**8 + 7))
+SMALL = FIELD_Q | OVER_CAP
+ANY = SMALL | st.sampled_from((4194301, 4194304, 2**31 - 1))
+
+
+@st.composite
+def cli_argv(draw):
+    def opt(name, values):
+        # one token: argparse takes a value such as "-2,abc" for an option
+        return draw(st.just([]) | values.map(lambda v: [f"{name}={v}"]))
+
+    command = draw(st.sampled_from(("analyze", "graph", "sweep", "ffield")))
+    if command in ("analyze", "graph"):
+        brute = command == "analyze" and draw(st.booleans())
+        q = draw(SMALL if brute or command == "graph" else ANY)
+        argv = [command, "--q", str(q), "--n", str(draw(ANY))] + opt("--a", ANY)
+        if command == "graph":
+            return argv + opt("--format", st.sampled_from(("dot", "json")))
+        return argv + (["--brute"] if brute else [])
+    if command == "sweep":
+        argv = [command, "--r", str(draw(ANY)), "--n", str(draw(ANY))]
+        argv += ["--t", str(draw(ANY))] + opt("--s", ANY)
+        points = st.lists(SMALL.map(str) | st.just("abc"), max_size=4)
+        argv += opt("--checkpoints", points.map(",".join))
+        argv += opt("--threads", st.sampled_from((1, 0, -1, 65, 2**63)))
+        return argv + opt("--format", st.sampled_from(("json", "csv")))
+    mode = draw(st.sampled_from(("--density", "--dmean", "--oscillate")))
+    argv = [command, "--q", str(draw(ANY)), mode] + opt("--r", ANY) + opt("--n", ANY)
+    return argv + opt("--t", SMALL) + opt("--format", st.sampled_from(("json", "csv")))
+
+
+class TestFuzz:
+    @given(argv=cli_argv())
+    def test_cli_exits_in_documented_set(self, argv):
+        def no_pool(**kwargs):
+            raise AssertionError("a worker pool was started")
+
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(monodyn.mean_values, "ProcessPoolExecutor", no_pool)
+            mp.setenv("MONODYN_THREADS", "1")
+            t0 = time.perf_counter()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            secs = time.perf_counter() - t0
+        assert code in (0, 1, 2, 3), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if code:
+            assert err.getvalue().count("\n") <= 1, err.getvalue()
+        assert secs < 5, (argv, secs)
 
 
 class TestParsing:
