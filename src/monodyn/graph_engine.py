@@ -107,12 +107,18 @@ class OrbitStructure:
 
 
 def successor_array(sys: DynSystem) -> np.ndarray:
-    """successor[i] = element_index(f(element i)) as one int32 array."""
+    """successor[i] = element_index(f(element i)) as one int32 array.
+
+    The exponent is reduced first: e = (n - 1) % (q - 1) + 1 lies in
+    [1, q - 1] and is congruent to n modulo q - 1, so x**e = x**n on the
+    units (Lagrange in the unit group) and 0**e = 0.
+    """
     spec = sys.field
+    e = (sys.n - 1) % (spec.q - 1) + 1
     out = np.empty(spec.q, dtype=np.int32)
     lo = 0
     for x in batches(spec):
-        y = power(spec, x, sys.n)
+        y = power(spec, x, e)
         if sys.a != spec.one():
             y = mul(spec, sys.a, y)
         hi = lo + x.shape[1]
@@ -394,25 +400,23 @@ def export_dot(st: OrbitStructure, header: tuple[str, ...] = ()) -> str:
 def orbit_document(st: OrbitStructure) -> dict:
     """JSON-ready view of the decomposition.
 
-    The per-node lists take their ints from one object array of the
-    node indices (and -1), so they share q int objects instead of
-    making new ones per list.
+    The per-node lists are the structure's own int32 arrays, handed
+    through as they are: `reporting.render_json` formats an integer
+    array in one join, so no per-node Python ints are made for them.
     """
-    ints = np.empty(st.q + 1, dtype=object)
-    ints[:] = range(-1, st.q)  # ints[k + 1] is k
     return {
         "kind": "orbit_structure",
         "q": st.q,
         "n": st.n,
         "a_index": st.a_index,
-        "successor": ints[st.successor + 1].tolist(),
+        "successor": st.successor,
         "cycles": [
-            {"length": c.length, "members": list(c.members)} for c in st.cycles
+            {"length": c.length, "members": c.members} for c in st.cycles
         ],
         "node_info": {
-            "component_id": ints[st.component_id + 1].tolist(),
-            "cycle_id": ints[st.cycle_id + 1].tolist(),
-            "tail_length": st.tail_length.tolist(),
+            "component_id": st.component_id,
+            "cycle_id": st.cycle_id,
+            "tail_length": st.tail_length,
         },
         "aggregates": {
             "periodic_by_period": st.p_brute,

@@ -5,6 +5,14 @@ Every number crossing the output boundary is an integer or a
 value cannot slip into a report.  Envelopes carry the schema tag, the
 command, the seed, and a hash of the configuration so identical runs
 produce byte-identical files.
+
+`render_json` is the one renderer of JSON reports.  It writes, byte for
+byte, what the standard library's `json.dumps` makes of `jsonable(doc)`
+with a two-space indent, but without visiting the per-node arrays of a
+graph report item by item: an integer numpy array, or a list or tuple
+of exact ints, is formatted as one join of `str` over its items.  Everything else follows the
+rules of `jsonable`.  Floats are refused, and so are numpy arrays that
+do not hold integers (bool and float arrays included).
 """
 
 from __future__ import annotations
@@ -13,10 +21,17 @@ import dataclasses
 import json
 from fractions import Fraction
 from hashlib import sha256
+from json.encoder import encode_basestring_ascii
+
+import numpy as np
 
 from . import __version__
 
 SCHEMA = "monodyn/1"
+
+#: Items of an int list or array turned into text per join; bounds the
+#: temporary ints and strings of a q-long array.
+JOIN_BLOCK = 2**16
 
 
 def jsonable(obj):
@@ -50,8 +65,122 @@ def jsonable(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def _str_keys(obj: dict) -> dict:
+    """obj with its keys stringified, in numeric order when they are ints.
+
+    The rule of `jsonable`, written apart from it so that `jsonable`
+    stays an independent reference for this renderer.
+    """
+    if all(type(k) is str for k in obj):
+        return obj
+    items = [(str(k), v) for k, v in obj.items()]
+    if all(isinstance(k, int) for k in obj):
+        items.sort(key=lambda kv: int(kv[0]))
+    return dict(items)
+
+
 def render_json(doc) -> str:
-    return json.dumps(jsonable(doc), indent=2) + "\n"
+    """doc as JSON text with two-space indents and a final newline."""
+    out: list[str] = []
+    _render(doc, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+def _render(obj, pad: str, put) -> None:
+    """Append the text of obj to put; pad is the newline and indent of its line.
+
+    Exact ints, dicts, lists and tuples, which make up nearly every node
+    of a report, are written here; any other value is first passed
+    through `_reduce`.
+    """
+    kind = type(obj)
+    if kind is int:
+        put(str(obj))
+    elif kind is dict:
+        obj = _str_keys(obj)
+        if not obj:
+            put("{}")
+            return
+        inner = pad + "  "
+        opening = "{" + inner
+        for k, v in obj.items():
+            head = opening + encode_basestring_ascii(k) + ": "
+            opening = "," + inner
+            if type(v) is int:
+                put(head + str(v))
+            else:
+                put(head)
+                _render(v, inner, put)
+        put(pad + "}")
+    elif kind is list or kind is tuple:
+        _render_list(obj, pad, put)
+    else:
+        obj = _reduce(obj)
+        if type(obj) is str:
+            put(obj)
+        elif isinstance(obj, np.ndarray):
+            _render_list(obj, pad, put)
+        else:
+            _render(obj, pad, put)
+
+
+def _reduce(obj):
+    """The JSON text of a scalar, or a dict, list or one-dimensional integer
+    array with obj's content, by the rules of `jsonable` in its order."""
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, float):
+        raise TypeError(f"refusing to serialize float {obj!r}")
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, Fraction):
+        return {"num": obj.numerator, "den": obj.denominator}
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return dict(obj)
+    if isinstance(obj, (list, tuple)):
+        return list(obj)
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind not in "iu":
+            raise TypeError(f"refusing to serialize {obj.dtype} array")
+        return obj if obj.ndim == 1 else obj.tolist()
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _render_list(seq, pad: str, put) -> None:
+    """A list, tuple or one-dimensional integer array."""
+    if not len(seq):
+        put("[]")
+        return
+    inner = pad + "  "
+    sep = "," + inner
+    put("[" + inner)
+    if isinstance(seq, np.ndarray) or all(type(v) is int for v in seq):
+        put(_int_text(seq, sep))
+    else:
+        for i, v in enumerate(seq):
+            if i:
+                put(sep)
+            _render(v, inner, put)
+    put(pad + "]")
+
+
+def _int_text(seq, sep: str) -> str:
+    """The decimal forms of seq's ints joined by sep, JOIN_BLOCK at a time."""
+    if len(seq) > JOIN_BLOCK:
+        blocks = range(0, len(seq), JOIN_BLOCK)
+        return sep.join(_int_text(seq[lo : lo + JOIN_BLOCK], sep) for lo in blocks)
+    if isinstance(seq, np.ndarray):
+        seq = seq.tolist()
+    return sep.join(map(str, seq))
 
 
 def config_hash(config: dict) -> str:

@@ -27,7 +27,8 @@ from monodyn.graph_engine import (
     successor_array,
 )
 from monodyn.numtheory import prime_powers_up_to
-from monodyn.reporting import render_json
+from monodyn.cli import main
+from monodyn.reporting import envelope, jsonable, render_json
 
 from oracles import (
     exact_periods_by_iteration,
@@ -82,6 +83,18 @@ class TestSuccessor:
         for q, p, s in prime_powers_up_to(1024):
             spec = make_field(p, s)
             for n in (2, 3, 5, 16):
+                for a in sorted({1, q - 1}):
+                    got = successor_array(monomial_system(spec, n, a))
+                    assert got.tolist() == scalar_successor(spec, n, a), (q, n, a)
+
+    def test_reduced_exponent_matches_scalar_oracle(self):
+        # exponents at and past q - 1, where the exponent is reduced
+        # modulo q - 1 before any power is formed
+        for q, p, s in prime_powers_up_to(128):
+            spec = make_field(p, s)
+            for n in (q - 1, q, 2 * q - 1, 2**31 - 1):
+                if n < 2:
+                    continue
                 for a in sorted({1, q - 1}):
                     got = successor_array(monomial_system(spec, n, a))
                     assert got.tolist() == scalar_successor(spec, n, a), (q, n, a)
@@ -463,3 +476,17 @@ class TestExports:
 
         struct = build(system(25, 4, a_index=3))
         walk(json.loads(render_json(orbit_document(struct))))
+
+    def test_json_of_int32_structure_matches_stdlib(self, capsys):
+        # q > INTP_NODES: the decomposition runs on int32 index arrays
+        q, n, a = 65537, 3, 2
+        assert q > graph_engine.INTP_NODES
+        assert main(["graph", "--q", str(q), "--n", str(n), "--a", str(a)]) == 0
+        out = capsys.readouterr().out
+        doc = orbit_document(build(system(q, n, a)))
+        assert doc["successor"].dtype == np.int32
+        ref = dict(doc, successor=doc["successor"].tolist())
+        ref["node_info"] = {k: v.tolist() for k, v in doc["node_info"].items()}
+        config = {"q": q, "n": n, "a": a, "format": "json"}
+        expected = json.dumps(jsonable(envelope("graph", config, 0, ref)), indent=2)
+        assert out == expected + "\n"

@@ -2,9 +2,13 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from monodyn import __version__
+from monodyn import __version__, reporting
 from monodyn.function_field import oscillation_experiment
 from monodyn.mean_values import empirical_mean
 from monodyn.reporting import (
@@ -24,6 +28,12 @@ class Sample:
     count: int
     ratio: Fraction
     label: str
+
+
+@dataclass(frozen=True)
+class Box:
+    value: object
+    tag: str = "box"
 
 
 class TestJsonable:
@@ -64,6 +74,103 @@ class TestJsonable:
     def test_unknown_type_rejected(self):
         with pytest.raises(TypeError):
             jsonable(object())
+
+
+def stdlib_ref(obj):
+    """obj with every ndarray replaced by its .tolist(), for the stdlib route."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {k: stdlib_ref(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(stdlib_ref(v) for v in obj)
+    if isinstance(obj, Box):
+        return Box(stdlib_ref(obj.value), obj.tag)
+    return obj
+
+
+def stdlib_render(doc) -> str:
+    return json.dumps(jsonable(stdlib_ref(doc)), indent=2) + "\n"
+
+
+awkward_text = st.one_of(
+    st.text(),
+    st.sampled_from(['"', "\\", 'a"b\\c', "\x00\x1f\n\t\r", "é", "\u2028", "😀", ""]),
+)
+int_arrays = st.one_of(
+    hnp.arrays(st.sampled_from([np.int32, np.int64]), st.integers(0, 40)),
+    hnp.arrays(np.int32, st.just(0)),
+)
+leaves = st.one_of(
+    st.integers(),
+    st.integers(-(2**80), 2**80),
+    st.booleans(),
+    st.none(),
+    st.fractions(),
+    awkward_text,
+    int_arrays,
+    st.builds(Sample, st.integers(), st.fractions(), awkward_text),
+)
+documents = st.recursive(
+    leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(st.integers(), max_size=5),
+        st.tuples(inner, inner),
+        st.just(()),
+        st.dictionaries(awkward_text, inner, max_size=4),
+        st.dictionaries(st.integers(-1000, 1000), inner, max_size=4),
+        st.dictionaries(st.one_of(st.integers(0, 3), st.sampled_from("0123")), inner, max_size=4),
+        st.builds(Box, inner, awkward_text),
+    ),
+    max_leaves=20,
+)
+
+
+class TestRenderer:
+    @settings(max_examples=300)
+    @given(documents)
+    def test_same_bytes_as_stdlib_route(self, doc):
+        assert render_json(doc) == stdlib_render(doc)
+
+    def test_empty_containers_golden(self):
+        doc = {"a": [], "b": {}, "c": (), "d": np.zeros(0, dtype=np.int32)}
+        assert render_json(doc) == (
+            '{\n  "a": [],\n  "b": {},\n  "c": [],\n  "d": []\n}\n'
+        )
+        assert render_json(doc) == stdlib_render(doc)
+
+    def test_int_array_golden(self):
+        doc = {"xs": np.array([3, -1, 2**40], dtype=np.int64), "k": {2: 0, 10: 1}}
+        assert render_json(doc) == (
+            '{\n  "xs": [\n    3,\n    -1,\n    1099511627776\n  ],\n'
+            '  "k": {\n    "2": 0,\n    "10": 1\n  }\n}\n'
+        )
+
+    def test_long_arrays_cross_join_blocks(self, monkeypatch):
+        monkeypatch.setattr(reporting, "JOIN_BLOCK", 7)
+        for k in (0, 1, 6, 7, 8, 14, 15, 50):
+            arr = np.arange(-3, k - 3, dtype=np.int32)
+            for doc in ({"a": arr}, {"a": arr.tolist()}, [arr, tuple(arr.tolist())]):
+                assert render_json(doc) == stdlib_render(doc), k
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            0.5,
+            {"x": [1, 2.0]},
+            np.array([1.0, 2.0]),
+            {"xs": np.zeros(3, dtype=np.float64)},
+            np.array([True, False]),
+            [np.int64(3)],
+            object(),
+        ],
+        ids=["float", "nested float", "float64 array", "nested float64 array",
+             "bool array", "numpy scalar", "object"],
+    )
+    def test_refusals(self, bad):
+        with pytest.raises(TypeError):
+            render_json(bad)
 
 
 class TestRendering:
