@@ -21,7 +21,7 @@ import sys
 
 from . import finite_field, function_field, graph_engine, mean_values, monomial
 from .errors import InputRangeError, InvariantViolation, ResourceCapError
-from .numtheory import prime_power_base
+from .numtheory import check_prime_power
 from .reporting import comment_header, envelope, ff_csv, render_json, sweep_csv
 from .verify import run_verification
 
@@ -115,15 +115,11 @@ def _threads(args) -> int:
 
 
 def _field_for(q: int):
-    pp = prime_power_base(q)
-    if pp is None:
-        raise InputRangeError(f"q must be a prime power >= 2, got {q}")
-    return finite_field.make_field(*pp)
+    return finite_field.make_field(*check_prime_power(q))
 
 
 def _cmd_analyze(args) -> str:
-    if prime_power_base(args.q) is None:
-        raise InputRangeError(f"q must be a prime power >= 2, got {args.q}")
+    check_prime_power(args.q)
     prof = monomial.profile(args.q, args.n)
     config = {"q": args.q, "n": args.n, "a": args.a, "brute": args.brute}
     result = {

@@ -112,43 +112,25 @@ def _poly_gcd_is_unit(a: list[int], b: list[int], p: int) -> bool:
     return len(a) == 1
 
 
-def _poly_mulmod(a: list[int], b: list[int], g: list[int], p: int) -> list[int]:
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    return _poly_mod(prod, g, p)
-
-
-def _poly_powmod(a: list[int], e: int, g: list[int], p: int) -> list[int]:
-    out = [1]
-    while e:
-        if e & 1:
-            out = _poly_mulmod(out, a, g, p)
-        e >>= 1
-        if e:
-            a = _poly_mulmod(a, a, g, p)
-    return out
-
-
 def _is_irreducible(low: tuple[int, ...], p: int, s: int) -> bool:
     # g = x**s + sum(low[i] x**i) is irreducible iff x**(p**s) = x mod g
-    # and gcd(x**(p**(s/r)) - x, g) = 1 for every prime r | s
+    # and gcd(x**(p**(s/r)) - x, g) = 1 for every prime r | s; the
+    # Frobenius powers are computed in the ring GF(p)[x] / g
     g = list(low) + [1]
-    x = [0, 1]
+    ring = FieldSpec(p, s, p**s, tuple(g))
+    x = [0, 1] + [0] * (s - 2)
     proper = {s // r for r, _ in factorize(s).factors}
     t = x
     for k in range(1, s + 1):
-        t = _poly_powmod(t, p, g, p)
+        t = _power(ring, t, p)
         if k in proper:
-            diff = list(t) + [0] * (2 - len(t))
+            diff = list(t)
             diff[1] = (diff[1] - 1) % p  # t minus x
             while diff and diff[-1] == 0:
                 diff.pop()
             if not diff or not _poly_gcd_is_unit(g, diff, p):
                 return False
-    return t == [0, 1]
+    return t == x
 
 
 def _smallest_irreducible(p: int, s: int) -> tuple[int, ...]:

@@ -17,24 +17,19 @@ from math import gcd, log10
 
 from .errors import InputRangeError, InvariantViolation, ResourceCapError
 from .numtheory import (
+    check_prime_power,
     coprime_part,
     divisors,
     euler_phi,
     mobius_terms,
     multiplicative_order,
     pow_minus_one,
-    prime_power_base,
 )
-
-
-def _check_q(q: int) -> None:
-    if prime_power_base(q) is None:
-        raise InputRangeError(f"q must be a prime power >= 2, got {q}")
 
 
 def irreducible_count(q: int, d: int) -> int:
     """Number of monic irreducible polynomials of degree d over GF(q)."""
-    _check_q(q)
+    check_prime_power(q)
     if d < 1:
         raise InputRangeError(f"degree must be >= 1, got {d}")
     total = sum(mu * q**k for mu, k in mobius_terms(d))
@@ -45,7 +40,7 @@ def irreducible_count(q: int, d: int) -> int:
 
 def pi_K(q: int, t: int) -> int:
     """Number of monic irreducible polynomials of degree at most t."""
-    _check_q(q)
+    check_prime_power(q)
     if t < 0:
         raise InputRangeError(f"t must be >= 0, got {t}")
     return sum(irreducible_count(q, d) for d in range(1, t + 1))
@@ -73,14 +68,19 @@ def _order_of_q(q: int, r: int) -> int:
     return 1 if r == 1 else multiplicative_order(q % r, r)
 
 
-def dirichlet_density_S(q: int, r: int) -> Fraction:
-    """Dirichlet density of the primes supporting an r-cycle: 1 / ord_r(q)."""
-    _check_q(q)
+def _checked_order(q: int, r: int) -> int:
+    """ord_r(q), once q is a prime power, r >= 1 and gcd(r, q) = 1."""
+    check_prime_power(q)
     if r < 1:
         raise InputRangeError(f"r must be >= 1, got {r}")
     if gcd(r, q) > 1:
         raise InputRangeError(f"r = {r} must be coprime to q = {q}")
-    return Fraction(1, _order_of_q(q, r))
+    return _order_of_q(q, r)
+
+
+def dirichlet_density_S(q: int, r: int) -> Fraction:
+    """Dirichlet density of the primes supporting an r-cycle: 1 / ord_r(q)."""
+    return Fraction(1, _checked_order(q, r))
 
 
 def subsequence_limits(q: int, r: int) -> tuple[Fraction, Fraction]:
@@ -91,12 +91,7 @@ def subsequence_limits(q: int, r: int) -> tuple[Fraction, Fraction]:
     q**l, so ResourceCapError is raised when l is too large for them
     to be written out.
     """
-    _check_q(q)
-    if r < 1:
-        raise InputRangeError(f"r must be >= 1, got {r}")
-    if gcd(r, q) > 1:
-        raise InputRangeError(f"r = {r} must be coprime to q = {q}")
-    l = _order_of_q(q, r)
+    l = _checked_order(q, r)
     _check_str_digits(q, l, f"ord_r(q) = {l} gives limits")
     high = Fraction(q ** (l - 1) * (q - 1), q**l - 1)
     low = Fraction(q - 1, q**l - 1)
@@ -134,12 +129,7 @@ def oscillation_experiment(q: int, r: int, t_max: int) -> FFDensityReport:
     ResourceCapError is raised before any counting starts when such
     counts could not be written out.
     """
-    _check_q(q)
-    if r < 1:
-        raise InputRangeError(f"r must be >= 1, got {r}")
-    if gcd(r, q) > 1:
-        raise InputRangeError(f"r = {r} must be coprime to q = {q}")
-    l = _order_of_q(q, r)
+    l = _checked_order(q, r)
     if t_max < l:
         raise InputRangeError(f"t_max must be >= ord_r(q) = {l}")
     _check_str_digits(q, t_max, f"degree bound {t_max} gives counts")
@@ -177,7 +167,7 @@ def dirichlet_mean_solutions(q: int, m: int) -> Fraction:
     solutions; averaging with Dirichlet density gives the sum of
     phi(k) / ord_k(q) over divisors k of the q-coprime part of m.
     """
-    _check_q(q)
+    check_prime_power(q)
     if m < 1:
         raise InputRangeError(f"m must be >= 1, got {m}")
     m_star = coprime_part(m, q)
@@ -189,7 +179,7 @@ def dirichlet_mean_solutions(q: int, m: int) -> Fraction:
 
 def dirichlet_D_K(q: int, n: int, r: int) -> Fraction:
     """Dirichlet mean of the exact-period-r count over primes of F_q(T)."""
-    _check_q(q)
+    check_prime_power(q)
     if n < 2:
         raise InputRangeError(f"n must be >= 2, got {n}")
     if r < 1:

@@ -35,6 +35,13 @@ from .numtheory import (
 MAX_WORKERS = 64
 
 
+def _check_rsn(r: int, s: int, n: int) -> None:
+    if r < 1 or s < 1:
+        raise InputRangeError("r and s must be >= 1")
+    if n < 2:
+        raise InputRangeError(f"n must be >= 2, got {n}")
+
+
 def analytic_I(m: int, s: int) -> int:
     """Mean of gcd(m, p**s - 1) over primes: the sum of v_s over divisors of m.
 
@@ -45,10 +52,7 @@ def analytic_I(m: int, s: int) -> int:
 
 def analytic_N(r: int, s: int, n: int) -> int:
     """Limiting mean of the exact-period-r count of x -> x**n on GF(p**s)."""
-    if r < 1 or s < 1:
-        raise InputRangeError("r and s must be >= 1")
-    if n < 2:
-        raise InputRangeError(f"n must be >= 2, got {n}")
+    _check_rsn(r, s, n)
     return sum(
         mu * (analytic_I(pow_minus_one(n, k), s) + 1) for mu, k in mobius_terms(r)
     )
@@ -83,10 +87,7 @@ def dirichlet_D(r: int, s: int, n: int) -> int:
     A distinct evaluation route from analytic_N; the two must agree,
     and the result must be an integer.
     """
-    if r < 1 or s < 1:
-        raise InputRangeError("r and s must be >= 1")
-    if n < 2:
-        raise InputRangeError(f"n must be >= 2, got {n}")
+    _check_rsn(r, s, n)
     total = sum(
         mu * (density_mean_gcd(pow_minus_one(n, k), s) + 1) for mu, k in mobius_terms(r)
     )
@@ -159,10 +160,7 @@ def empirical_mean(
     identical for any worker count; at most min(workers, number of
     blocks) worker processes are started.
     """
-    if r < 1 or s < 1:
-        raise InputRangeError("r and s must be >= 1")
-    if n < 2:
-        raise InputRangeError(f"n must be >= 2, got {n}")
+    _check_rsn(r, s, n)
     if not 2 <= t_max <= SIEVE_CAP:
         raise InputRangeError(f"t_max must be in [2, {SIEVE_CAP}], got {t_max}")
     if not 1 <= workers <= MAX_WORKERS:

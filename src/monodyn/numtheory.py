@@ -320,6 +320,16 @@ def prime_power_base(q: int) -> tuple[int, int] | None:
     return f[0]
 
 
+def check_prime_power(q: int) -> tuple[int, int]:
+    """(p, s) with q = p**s; InputRangeError naming q when there is none."""
+    if q > MAX_INPUT:
+        raise InputRangeError(f"q must be at most 2**63 - 1, got {q}")
+    pp = prime_power_base(q)
+    if pp is None:
+        raise InputRangeError(f"q must be a prime power >= 2, got {q}")
+    return pp
+
+
 def prime_powers_up_to(limit: int) -> list[tuple[int, int, int]]:
     """All (q, p, s) with q = p**s <= limit, ascending in q."""
     out = []

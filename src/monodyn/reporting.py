@@ -6,13 +6,15 @@ value cannot slip into a report.  Envelopes carry the schema tag, the
 command, the seed, and a hash of the configuration so identical runs
 produce byte-identical files.
 
-`render_json` is the one renderer of JSON reports.  It writes, byte for
-byte, what the standard library's `json.dumps` makes of `jsonable(doc)`
-with a two-space indent, but without visiting the per-node arrays of a
-graph report item by item: an integer numpy array, or a list or tuple
-of exact ints, is formatted as one join of `str` over its items.  Everything else follows the
-rules of `jsonable`.  Floats are refused, and so are numpy arrays that
-do not hold integers (bool and float arrays included).
+`_shallow` is the one statement of how a result object maps to JSON,
+one level at a time; `jsonable` applies it all the way down, and
+`render_json` applies it as it writes.  `render_json` writes the
+two-space-indent layout of `json.dumps(..., indent=2)` itself and
+formats an integer numpy array, or a list or tuple of exact ints, as
+one join of `str` over its items, so the per-node arrays of a graph
+report are not visited item by item.  The tests hold it, byte for
+byte, to the standard library's encoder run on an independent
+recursive mapping in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -34,49 +36,59 @@ SCHEMA = "monodyn/1"
 JOIN_BLOCK = 2**16
 
 
-def jsonable(obj):
-    """Recursively convert a result object to JSON-safe primitives.
+def _shallow(obj):
+    """obj mapped one level toward JSON; its items are left as they are.
 
-    Fractions become {"num": ..., "den": ...}; dataclasses become
-    dicts; dict keys are stringified and sorted when integral.
-    Floats raise TypeError: exact pipelines have no business
-    producing them.
+    Exact ints, strings, bools and None are returned as they are, and so
+    are lists, tuples and one-dimensional integer arrays (other integer
+    arrays become nested lists).  A Fraction becomes {"num", "den"}, a
+    dataclass the dict of its fields, and a dict one with string keys,
+    in numeric order when the keys are all ints.  Floats, arrays that
+    do not hold integers, and any other type raise TypeError: exact
+    pipelines have no business producing them.  The container checks
+    come first because nearly every node of a report is one.
     """
-    if isinstance(obj, bool) or obj is None or isinstance(obj, str):
+    kind = type(obj)
+    if kind is int or kind is list or kind is tuple:
+        return obj
+    if kind is dict:
+        if all(type(k) is str for k in obj):
+            return obj
+        items = [(str(k), v) for k, v in obj.items()]
+        if all(isinstance(k, int) for k in obj):
+            items.sort(key=lambda kv: int(kv[0]))
+        return dict(items)
+    if obj is None or isinstance(obj, (bool, str)):
         return obj
     if isinstance(obj, float):
         raise TypeError(f"refusing to serialize float {obj!r}")
     if isinstance(obj, int):
-        return obj
+        return int(obj)
     if isinstance(obj, Fraction):
         return {"num": obj.numerator, "den": obj.denominator}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            f.name: jsonable(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-        }
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
-        items = [(str(k), jsonable(v)) for k, v in obj.items()]
-        if all(isinstance(k, int) for k in obj):
-            items.sort(key=lambda kv: int(kv[0]))
-        return dict(items)
+        return _shallow(dict(obj))
     if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
+        return list(obj)
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind not in "iu":
+            raise TypeError(f"refusing to serialize {obj.dtype} array")
+        return obj if obj.ndim == 1 else obj.tolist()
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _str_keys(obj: dict) -> dict:
-    """obj with its keys stringified, in numeric order when they are ints.
-
-    The rule of `jsonable`, written apart from it so that `jsonable`
-    stays an independent reference for this renderer.
-    """
-    if all(type(k) is str for k in obj):
-        return obj
-    items = [(str(k), v) for k, v in obj.items()]
-    if all(isinstance(k, int) for k in obj):
-        items.sort(key=lambda kv: int(kv[0]))
-    return dict(items)
+def jsonable(obj):
+    """obj as JSON-safe primitives: `_shallow` applied all the way down."""
+    obj = _shallow(obj)
+    if isinstance(obj, dict):
+        return {k: jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    return obj
 
 
 def render_json(doc) -> str:
@@ -88,17 +100,12 @@ def render_json(doc) -> str:
 
 
 def _render(obj, pad: str, put) -> None:
-    """Append the text of obj to put; pad is the newline and indent of its line.
-
-    Exact ints, dicts, lists and tuples, which make up nearly every node
-    of a report, are written here; any other value is first passed
-    through `_reduce`.
-    """
+    """Append the text of obj to put; pad is the newline and indent of its line."""
+    obj = _shallow(obj)
     kind = type(obj)
     if kind is int:
         put(str(obj))
     elif kind is dict:
-        obj = _str_keys(obj)
         if not obj:
             put("{}")
             return
@@ -113,46 +120,10 @@ def _render(obj, pad: str, put) -> None:
                 put(head)
                 _render(v, inner, put)
         put(pad + "}")
-    elif kind is list or kind is tuple:
+    elif kind is list or kind is tuple or isinstance(obj, np.ndarray):
         _render_list(obj, pad, put)
-    else:
-        obj = _reduce(obj)
-        if type(obj) is str:
-            put(obj)
-        elif isinstance(obj, np.ndarray):
-            _render_list(obj, pad, put)
-        else:
-            _render(obj, pad, put)
-
-
-def _reduce(obj):
-    """The JSON text of a scalar, or a dict, list or one-dimensional integer
-    array with obj's content, by the rules of `jsonable` in its order."""
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if isinstance(obj, float):
-        raise TypeError(f"refusing to serialize float {obj!r}")
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, Fraction):
-        return {"num": obj.numerator, "den": obj.denominator}
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return dict(obj)
-    if isinstance(obj, (list, tuple)):
-        return list(obj)
-    if isinstance(obj, np.ndarray):
-        if obj.dtype.kind not in "iu":
-            raise TypeError(f"refusing to serialize {obj.dtype} array")
-        return obj if obj.ndim == 1 else obj.tolist()
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    else:  # a string, a bool or None
+        put(json.dumps(obj))
 
 
 def _render_list(seq, pad: str, put) -> None:

@@ -7,6 +7,7 @@ the package, so agreement is evidence rather than tautology.
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -341,3 +342,42 @@ def C_r_count(q: int, r: int, t: int) -> int:
     return sum(
         naive_irreducible_count(q, d) for d in range(1, t + 1) if (q**d - 1) % r == 0
     )
+
+
+# ---------------------------------------------------------------------------
+# the JSON mapping, one recursive rule chain
+#
+# The renderer's reference: json.dumps(jsonable(doc), indent=2) is what
+# monodyn.reporting.render_json must write.  Numpy arrays are not
+# covered; tests hand them over as lists.
+
+
+def jsonable(obj):
+    """Recursively convert a result object to JSON-safe primitives.
+
+    Fractions become {"num": ..., "den": ...}; dataclasses become
+    dicts; dict keys are stringified and sorted when integral.
+    Floats raise TypeError: exact pipelines have no business
+    producing them.
+    """
+    if isinstance(obj, bool) or obj is None or isinstance(obj, str):
+        return obj
+    if isinstance(obj, float):
+        raise TypeError(f"refusing to serialize float {obj!r}")
+    if isinstance(obj, int):
+        return obj
+    if isinstance(obj, Fraction):
+        return {"num": obj.numerator, "den": obj.denominator}
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {
+            f.name: jsonable(getattr(obj, f.name))
+            for f in dataclasses.fields(obj)
+        }
+    if isinstance(obj, dict):
+        items = [(str(k), jsonable(v)) for k, v in obj.items()]
+        if all(isinstance(k, int) for k in obj):
+            items.sort(key=lambda kv: int(kv[0]))
+        return dict(items)
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    raise TypeError(f"cannot serialize {type(obj).__name__}")

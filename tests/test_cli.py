@@ -94,6 +94,21 @@ class TestAnalyze:
         assert code == 2
         assert "prime power" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["graph", "--n", "3"],
+            ["analyze", "--n", "3"],
+            ["ffield", "--density", "--r", "3"],
+        ],
+        ids=["graph", "analyze", "ffield"],
+    )
+    def test_q_past_63_bits_named_in_error(self, capsys, argv):
+        q = str(2**64 + 13)
+        code, out, err = run(capsys, *argv, "--q", q)
+        assert code == 2 and out == ""
+        assert err == f"error: q must be at most 2**63 - 1, got {q}\n"
+
     def test_unwritable_output_is_bad_input(self, capsys, tmp_path):
         target = tmp_path / "missing" / "report.json"
         code, out, err = run(

@@ -61,8 +61,11 @@ class TestConstruction:
 
     def test_irreducible_counts_match_necklace(self):
         # the construction-time irreducibility test agrees with the
-        # counting formula used by the function-field module
-        for p, s in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)):
+        # counting formula used by the function-field module; s = 6 is
+        # the first degree with two prime divisors, so two gcd checks
+        fields = ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2),
+                  (2, 6), (3, 4), (2, 8), (5, 3))
+        for p, s in fields:
             found = 0
             for enc in range(p**s):
                 digits = []

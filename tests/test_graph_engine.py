@@ -28,10 +28,11 @@ from monodyn.graph_engine import (
 )
 from monodyn.numtheory import prime_powers_up_to
 from monodyn.cli import main
-from monodyn.reporting import envelope, jsonable, render_json
+from monodyn.reporting import envelope, render_json
 
 from oracles import (
     exact_periods_by_iteration,
+    jsonable,
     scalar_build,
     scalar_order_check,
     scalar_successor,

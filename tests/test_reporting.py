@@ -22,6 +22,8 @@ from monodyn.reporting import (
     sweep_csv,
 )
 
+from oracles import jsonable as oracle_jsonable
+
 
 @dataclass(frozen=True)
 class Sample:
@@ -75,6 +77,14 @@ class TestJsonable:
         with pytest.raises(TypeError):
             jsonable(object())
 
+    def test_integer_arrays_become_lists(self):
+        doc = {"xs": np.array([3, -1], dtype=np.int32), "m": np.eye(2, dtype=int)}
+        out = jsonable(doc)
+        assert out == {"xs": [3, -1], "m": [[1, 0], [0, 1]]}
+        assert type(out["xs"][0]) is int
+        with pytest.raises(TypeError):
+            jsonable(np.array([0.5]))
+
 
 def stdlib_ref(obj):
     """obj with every ndarray replaced by its .tolist(), for the stdlib route."""
@@ -90,7 +100,7 @@ def stdlib_ref(obj):
 
 
 def stdlib_render(doc) -> str:
-    return json.dumps(jsonable(stdlib_ref(doc)), indent=2) + "\n"
+    return json.dumps(oracle_jsonable(stdlib_ref(doc)), indent=2) + "\n"
 
 
 awkward_text = st.one_of(
@@ -189,6 +199,18 @@ class TestRendering:
         assert a == b
         assert a.startswith("sha256:")
         assert config_hash({"q": 7, "n": 2, "a": 2}) != a
+
+    def test_config_hash_golden(self):
+        # the hashes of an analyze and a sweep config, pinned by value
+        analyze = {"q": 9, "n": 2, "a": 1, "brute": True}
+        sweep = {"r": 2, "s": 1, "n": 3, "t": 100000,
+                 "checkpoints": "100,1000", "format": "csv"}
+        assert config_hash(analyze) == (
+            "sha256:15607e317218222bd02b94915cc68c0b4a71837343be1a3200b8e0b7a9531a5e"
+        )
+        assert config_hash(sweep) == (
+            "sha256:9ce577ddb7ff533419c99c6f50cdfda6ca716583d869c3335bffa8a83376b90e"
+        )
 
     def test_envelope_fields(self):
         env = envelope("analyze", {"q": 7}, 42, {"ok": True})
