@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -208,6 +209,70 @@ class TestRenderTracing:
         target = tmp_path / "report.json"
         assert main([*argv, "--output", str(target)]) == 0
         assert lengths == [target.stat().st_size]
+
+
+#: (argv, exit code, digest of stdout and stderr) for reports, error
+#: lines and exit codes, recorded before the report step of `main` was
+#: folded into one; every one must stay byte-identical.
+REPORT_DIGESTS = [
+    ("analyze --q 7 --n 2", 0, "dabc69918c4360f03c3d02f9ecda3642"),
+    ("analyze --q 19 --n 2 --a 3", 0, "4b6c834ca0960b94fcf81319e9060b44"),
+    ("analyze --q 19 --n 2 --brute", 0, "6b99a64ff786fc8edcb730f1bc824e74"),
+    ("analyze --q 5 --n 3 --a 3 --brute", 0, "50779f445e3767f60082c211308a23ec"),
+    ("analyze --q 729 --n 4 --brute", 0, "7b367571ca2a644ae69c0a044ae90bb0"),
+    ("analyze --q 65536 --n 65536 --brute", 0, "98f076dfb46d6921d67386a8b8a9ca7b"),
+    ("analyze --q 12 --n 2", 2, "454b62dfad4d7b96c304ab8eccbc2f6f"),
+    ("graph --q 7 --n 2", 0, "67f7ba3e7c76b48f196a010edf8c690e"),
+    ("graph --q 7 --n 2 --format dot", 0, "81886c64d809a246a21e6acf89ec984c"),
+    ("graph --q 9 --n 2 --a 2", 0, "e877f2b4d545fd787822e340cf9bee49"),
+    ("graph --q 9 --n 3 --format dot", 0, "311a029200ab4002b62b9d5bbe3d8fb9"),
+    ("graph --q 729 --n 4", 0, "33342e13d0bb73666278c2a2d5557b4e"),
+    ("graph --q 729 --n 4 --format dot", 0, "929a2e4bdd5f4189f491a63a268ae959"),
+    ("graph --q 8191 --n 3 --a 5", 0, "718451e8a348f81609758cb37085c7a9"),
+    ("graph --q 8191 --n 3 --format dot", 0, "3e89cd4bd373a0e3177d32e5cb3f6bff"),
+    (
+        "sweep --r 2 --s 2 --n 3 --t 5000 --checkpoints 100,1000",
+        0,
+        "94c48b567573089727cc08920359f8d8",
+    ),
+    (
+        "sweep --r 2 --s 2 --n 3 --t 5000 --checkpoints 100,1000 --format csv",
+        0,
+        "0451def19c11befaeced281d567bd250",
+    ),
+    ("sweep --r 3 --n 2 --t 1000 --threads 0", 2, "36acd139844e641be51748b93dd1c5a4"),
+    ("ffield --q 3 --density --r 4", 0, "dac3e06d0cccb54efd31502ccf916339"),
+    (
+        "ffield --q 3 --density --r 4 --format csv",
+        0,
+        "dac3e06d0cccb54efd31502ccf916339",
+    ),
+    ("ffield --q 3 --dmean --r 4 --n 2", 0, "8c63cd51654949778481850a302d1fa4"),
+    (
+        "ffield --q 3 --dmean --r 4 --n 2 --format csv",
+        0,
+        "8c63cd51654949778481850a302d1fa4",
+    ),
+    ("ffield --q 2 --oscillate --r 3 --t 40", 0, "6c47436a1fd761b49d69395a6d92888c"),
+    (
+        "ffield --q 2 --oscillate --r 3 --t 40 --format csv",
+        0,
+        "9cc233bb8bf78530f1104f76dd73e632",
+    ),
+    ("ffield --q 3 --oscillate --r 2", 2, "b5f3e0532d97b09061f22dc0d7bcbea7"),
+]
+
+
+class TestReportDigests:
+    @pytest.mark.parametrize(
+        "argv, code, digest", REPORT_DIGESTS, ids=[c[0] for c in REPORT_DIGESTS]
+    )
+    def test_output_and_exit_code_unchanged(self, capsys, argv, code, digest):
+        got, out, err = run(capsys, *argv.split())
+        h = hashlib.sha256()
+        for part in (out, err):
+            h.update(hashlib.sha256(part.encode()).digest())
+        assert (got, h.hexdigest()[:32]) == (code, digest), (out[:200], err)
 
 
 class TestSweep:
