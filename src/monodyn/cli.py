@@ -118,7 +118,7 @@ def _field_for(q: int):
     return finite_field.make_field(*check_prime_power(q))
 
 
-def _cmd_analyze(args) -> str:
+def _cmd_analyze(args) -> tuple:
     check_prime_power(args.q)
     prof = monomial.profile(args.q, args.n)
     config = {"q": args.q, "n": args.n, "a": args.a, "brute": args.brute}
@@ -141,34 +141,23 @@ def _cmd_analyze(args) -> str:
             st = graph_engine.build(sys_)
             rep = graph_engine.dichotomy_report(sys_, st, strict=False)
             result["brute"] = {
-                "periodic_by_period": st.p_brute,
-                "cycles_by_length": st.c_brute,
-                "component_count": st.component_count,
-                "periodic_total": st.periodic_total,
+                **graph_engine.census(st),
                 "has_nonzero_fixed": rep.has_nonzero_fixed,
-                "match": bool(
-                    rep.totals_match
-                    and (args.a != 1 or st.p_brute == prof.per_period)
-                    and rep.formula_match is not False
-                ),
+                "match": rep.totals_match and rep.formula_match is not False,
             }
         else:
             result["has_nonzero_fixed"] = graph_engine.has_nonzero_fixed(sys_)
-    return render_json(envelope("analyze", config, 0, result))
+    return config, result, None
 
 
-def _cmd_graph(args) -> str:
+def _cmd_graph(args) -> tuple:
     spec = _field_for(args.q)
     sys_ = graph_engine.monomial_system(spec, args.n, args.a)
     st = graph_engine.build(sys_)
     config = {"q": args.q, "n": args.n, "a": args.a, "format": args.format}
     if args.format == "dot":
-        return graph_engine.export_dot(
-            st, header=comment_header("graph", config, 0)
-        )
-    return render_json(
-        envelope("graph", config, 0, graph_engine.orbit_document(st))
-    )
+        return config, st, graph_engine.export_dot
+    return config, graph_engine.orbit_document(st), None
 
 
 def _parse_checkpoints(text: str | None) -> list[int] | None:
@@ -180,7 +169,7 @@ def _parse_checkpoints(text: str | None) -> list[int] | None:
         raise InputRangeError(f"bad checkpoint list: {text!r}") from None
 
 
-def _cmd_sweep(args) -> str:
+def _cmd_sweep(args) -> tuple:
     workers = _threads(args)
     rep = mean_values.empirical_mean(
         args.r,
@@ -198,12 +187,10 @@ def _cmd_sweep(args) -> str:
         "checkpoints": args.checkpoints,
         "format": args.format,
     }
-    if args.format == "csv":
-        return sweep_csv(rep, comment_header("sweep", config, 0))
-    return render_json(envelope("sweep", config, 0, rep))
+    return config, rep, sweep_csv if args.format == "csv" else None
 
 
-def _cmd_ffield(args) -> str:
+def _cmd_ffield(args) -> tuple:
     q = args.q
     if args.density:
         if args.r is None:
@@ -215,7 +202,7 @@ def _cmd_ffield(args) -> str:
             "dirichlet_density": function_field.dirichlet_density_S(q, args.r),
             "subsequence_limits": function_field.subsequence_limits(q, args.r),
         }
-        return render_json(envelope("ffield", config, 0, result))
+        return config, result, None
     if args.dmean:
         if args.n is None or args.r is None:
             raise InputRangeError("--dmean requires --n and --r")
@@ -227,7 +214,7 @@ def _cmd_ffield(args) -> str:
             "dirichlet_D": function_field.dirichlet_D_K(q, args.n, args.r),
             "dirichlet_C": function_field.dirichlet_C_K(q, args.n, args.r),
         }
-        return render_json(envelope("ffield", config, 0, result))
+        return config, result, None
     if args.r is None or args.t is None:
         raise InputRangeError("--oscillate requires --r and --t")
     rep = function_field.oscillation_experiment(q, args.r, args.t)
@@ -238,9 +225,7 @@ def _cmd_ffield(args) -> str:
         "mode": "oscillate",
         "format": args.format,
     }
-    if args.format == "csv":
-        return ff_csv(rep, comment_header("ffield", config, 0))
-    return render_json(envelope("ffield", config, 0, rep))
+    return config, rep, ff_csv if args.format == "csv" else None
 
 
 def _cmd_verify(args) -> tuple[str, int]:
@@ -258,28 +243,20 @@ def _cmd_verify(args) -> tuple[str, int]:
     return "\n".join(lines) + "\n", 0 if summary.ok else 1
 
 
-def _emit(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     code = 0
     try:
-        if args.command == "analyze":
-            text = _cmd_analyze(args)
-        elif args.command == "graph":
-            text = _cmd_graph(args)
-        elif args.command == "sweep":
-            text = _cmd_sweep(args)
-        elif args.command == "ffield":
-            text = _cmd_ffield(args)
-        else:
+        if args.command == "verify":
             text, code = _cmd_verify(args)
+        else:
+            # every _cmd_* but verify returns (config, result, writer); it is
+            # looked up per call, so a replaced _cmd_* is the one that runs
+            config, result, writer = globals()["_cmd_" + args.command](args)
+            if writer is None:  # the JSON envelope
+                text = render_json(envelope(args.command, config, result))
+            else:
+                text = writer(result, comment_header(args.command, config))
     except InputRangeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -295,7 +272,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: internal: {text}", file=sys.stderr)
         return 4
     try:
-        _emit(text, args.output)
+        if args.output is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.output, "w") as fh:
+                fh.write(text)
     except OSError as exc:
         target = args.output or "standard output"
         print(f"error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)

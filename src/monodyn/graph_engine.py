@@ -418,10 +418,15 @@ def orbit_document(st: OrbitStructure) -> dict:
             "cycle_id": st.cycle_id,
             "tail_length": st.tail_length,
         },
-        "aggregates": {
-            "periodic_by_period": st.p_brute,
-            "cycles_by_length": st.c_brute,
-            "component_count": st.component_count,
-            "periodic_total": st.periodic_total,
-        },
+        "aggregates": census(st),
+    }
+
+
+def census(st: OrbitStructure) -> dict:
+    """The brute-force counts of a structure, keyed as the reports print them."""
+    return {
+        "periodic_by_period": st.p_brute,
+        "cycles_by_length": st.c_brute,
+        "component_count": st.component_count,
+        "periodic_total": st.periodic_total,
     }

@@ -24,7 +24,6 @@ from .numtheory import (
     euler_phi,
     gcd_classes,
     max_exponent,
-    mobius,
     mobius_terms,
     pow_minus_one,
     prime_array,
@@ -62,7 +61,7 @@ def mobius_invert_multiples(g, m: int, r: int):
     """Recover h(r) from g(r) = sum of h(kr) over multiples kr dividing m."""
     if r < 1 or m % r:
         raise InputRangeError(f"{r} does not divide {m}")
-    return sum(mobius(k) * g(k * r) for k in divisors(m // r))
+    return sum(mu * g(m // k) for mu, k in mobius_terms(m // r))
 
 
 def density_mean_gcd(m: int, s: int) -> Fraction:

@@ -142,14 +142,14 @@ def profile(q: int, n: int) -> CycleProfile:
     per_period: dict[int, int] = {}
     per_length: dict[int, int] = {}
     for r in divisors(rh):
-        cnt = periodic_count(q, n, r)
-        if cnt < 0:
+        cycles = cycle_count(q, n, r)
+        if cycles < 0:
             raise InvariantViolation(
-                f"negative period-{r} count {cnt} for (q={q}, n={n})"
+                f"negative period-{r} count {cycles * r} for (q={q}, n={n})"
             )
-        if cnt:
-            per_period[r] = cnt
-            per_length[r] = cycle_count(q, n, r)
+        if cycles:
+            per_period[r] = cycles * r
+            per_length[r] = cycles
     total = sum(per_period.values())
     expected = q_star(q, n) + 1
     if total != expected:

@@ -139,14 +139,6 @@ def divisors(m: int) -> list[int]:
     return divs
 
 
-def mobius(m: int) -> int:
-    """0 on non-squarefree m, else (-1)**(number of prime factors)."""
-    f = factorize(m).factors
-    if any(e > 1 for _, e in f):
-        return 0
-    return -1 if len(f) % 2 else 1
-
-
 def mobius_terms(r: int) -> tuple[tuple[int, int], ...]:
     """(mu(d), r // d) over the squarefree divisors d of r, d increasing.
 

@@ -3,16 +3,15 @@
 Every number crossing the output boundary is an integer or a
 {"num", "den"} pair; floats are rejected at render time so a lossy
 value cannot slip into a report.  Envelopes carry the schema tag, the
-command, the seed, and a hash of the configuration so identical runs
-produce byte-identical files.
+command, a seed of 0 (no report draws at random), and a hash of the
+configuration so identical runs produce byte-identical files.
 
 `_shallow` is the one statement of how a result object maps to JSON,
-one level at a time; `jsonable` applies it all the way down, and
-`render_json` applies it as it writes.  `render_json` writes the
-two-space-indent layout of `json.dumps(..., indent=2)` itself and
-formats an integer numpy array, or a list or tuple of exact ints, as
-one join of `str` over its items, so the per-node arrays of a graph
-report are not visited item by item.  The tests hold it, byte for
+one level at a time, and `render_json` alone applies it, as it writes.
+It writes the two-space-indent layout of `json.dumps(..., indent=2)`
+itself and formats an integer numpy array, or a list or tuple of exact
+ints, as one join of `str` over its items, so the per-node arrays of a
+graph report are not visited item by item.  The tests hold it, byte for
 byte, to the standard library's encoder run on an independent
 recursive mapping in `tests/oracles.py`.
 """
@@ -42,11 +41,12 @@ def _shallow(obj):
     Exact ints, strings, bools and None are returned as they are, and so
     are lists, tuples and one-dimensional integer arrays (other integer
     arrays become nested lists).  A Fraction becomes {"num", "den"}, a
-    dataclass the dict of its fields, and a dict one with string keys,
-    in numeric order when the keys are all ints.  Floats, arrays that
-    do not hold integers, and any other type raise TypeError: exact
-    pipelines have no business producing them.  The container checks
-    come first because nearly every node of a report is one.
+    dataclass the dict of its fields, and a dict one keyed by str(k),
+    in numeric order when the keys are all ints (bools among them sort
+    as 0 and 1).  Floats, arrays that do not hold integers, and any
+    other type raise TypeError: exact pipelines have no business
+    producing them.  The container checks come first because nearly
+    every node of a report is one.
     """
     kind = type(obj)
     if kind is int or kind is list or kind is tuple:
@@ -54,10 +54,8 @@ def _shallow(obj):
     if kind is dict:
         if all(type(k) is str for k in obj):
             return obj
-        items = [(str(k), v) for k, v in obj.items()]
-        if all(isinstance(k, int) for k in obj):
-            items.sort(key=lambda kv: int(kv[0]))
-        return dict(items)
+        keys = sorted(obj) if all(isinstance(k, int) for k in obj) else obj
+        return {str(k): obj[k] for k in keys}
     if obj is None or isinstance(obj, (bool, str)):
         return obj
     if isinstance(obj, float):
@@ -77,18 +75,6 @@ def _shallow(obj):
             raise TypeError(f"refusing to serialize {obj.dtype} array")
         return obj if obj.ndim == 1 else obj.tolist()
     raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def jsonable(obj):
-    """obj as JSON-safe primitives: `_shallow` applied all the way down."""
-    obj = _shallow(obj)
-    if isinstance(obj, dict):
-        return {k: jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    return obj
 
 
 def render_json(doc) -> str:
@@ -155,27 +141,28 @@ def _int_text(seq, sep: str) -> str:
 
 
 def config_hash(config: dict) -> str:
-    blob = json.dumps(jsonable(config), sort_keys=True, separators=(",", ":"))
+    """Hash of a flat config of ints, bools, strings and None."""
+    blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return "sha256:" + sha256(blob.encode()).hexdigest()
 
 
-def envelope(command: str, config: dict, seed: int, result) -> dict:
+def envelope(command: str, config: dict, result) -> dict:
     return {
         "schema": SCHEMA,
         "version": __version__,
         "command": command,
-        "seed": seed,
+        "seed": 0,
         "config": config,
         "input_hash": config_hash(config),
         "result": result,
     }
 
 
-def comment_header(command: str, config: dict, seed: int) -> list[str]:
+def comment_header(command: str, config: dict) -> list[str]:
     return [
         f"schema: {SCHEMA}",
         f"command: {command}",
-        f"seed: {seed}",
+        "seed: 0",
         f"input_hash: {config_hash(config)}",
     ]
 

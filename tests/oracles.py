@@ -356,7 +356,8 @@ def jsonable(obj):
     """Recursively convert a result object to JSON-safe primitives.
 
     Fractions become {"num": ..., "den": ...}; dataclasses become
-    dicts; dict keys are stringified and sorted when integral.
+    dicts; dict keys are sorted when all are ints (bools included), then
+    stringified with str.
     Floats raise TypeError: exact pipelines have no business
     producing them.
     """
@@ -374,10 +375,8 @@ def jsonable(obj):
             for f in dataclasses.fields(obj)
         }
     if isinstance(obj, dict):
-        items = [(str(k), jsonable(v)) for k, v in obj.items()]
-        if all(isinstance(k, int) for k in obj):
-            items.sort(key=lambda kv: int(kv[0]))
-        return dict(items)
+        keys = sorted(obj) if all(isinstance(k, int) for k in obj) else list(obj)
+        return {str(k): jsonable(obj[k]) for k in keys}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
     raise TypeError(f"cannot serialize {type(obj).__name__}")

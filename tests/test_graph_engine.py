@@ -489,5 +489,5 @@ class TestExports:
         ref = dict(doc, successor=doc["successor"].tolist())
         ref["node_info"] = {k: v.tolist() for k, v in doc["node_info"].items()}
         config = {"q": q, "n": n, "a": a, "format": "json"}
-        expected = json.dumps(jsonable(envelope("graph", config, 0, ref)), indent=2)
+        expected = json.dumps(jsonable(envelope("graph", config, ref)), indent=2)
         assert out == expected + "\n"

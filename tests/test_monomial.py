@@ -1,9 +1,11 @@
+from collections import Counter
 from math import gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from monodyn import monomial
 from monodyn.errors import InputRangeError
 from monodyn.monomial import (
     cycle_count,
@@ -197,3 +199,17 @@ class TestProfile:
             for r in divisors(prof.r_hat):
                 present = r in prof.per_period
                 assert present == (periodic_count(q, n, r) > 0), (q, n, r)
+
+    def test_each_period_counted_once(self, monkeypatch):
+        calls = Counter()
+        real = monomial.periodic_count
+
+        def counting(q, n, r):
+            calls[r] += 1
+            return real(q, n, r)
+
+        monkeypatch.setattr(monomial, "periodic_count", counting)
+        for q, n in ((19, 2), (127, 2), (729, 4), (8191, 3)):
+            calls.clear()
+            prof = monomial.profile(q, n)
+            assert calls == Counter(divisors(prof.r_hat)), (q, n)

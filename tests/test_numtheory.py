@@ -17,7 +17,6 @@ from monodyn.numtheory import (
     gcd_classes,
     is_prime,
     max_exponent,
-    mobius,
     mobius_terms,
     multiplicative_order,
     pow_minus_one,
@@ -40,6 +39,11 @@ from oracles import (
 )
 
 pos = st.integers(min_value=1, max_value=200_000)
+
+
+def mu(m: int) -> int:
+    """mu(m) as mobius_terms states it: the sign of its k = 1 term, if any."""
+    return next((sign for sign, k in mobius_terms(m) if k == 1), 0)
 
 
 class TestFactorize:
@@ -107,20 +111,20 @@ class TestDivisorFunctions:
         assert divisors(12) == [1, 2, 3, 4, 6, 12]
         assert tau(12) == 6
         assert euler_phi(12) == 4
-        assert mobius(1) == 1
-        assert mobius(4) == 0
-        assert mobius(30) == -1
+        assert mu(1) == 1
+        assert mu(4) == 0
+        assert mu(30) == -1
 
     @given(st.integers(min_value=1, max_value=3000))
     def test_against_naive(self, m):
         assert divisors(m) == naive_divisors(m)
         assert tau(m) == len(naive_divisors(m))
         assert euler_phi(m) == naive_phi(m)
-        assert mobius(m) == naive_mobius(m)
+        assert mu(m) == naive_mobius(m)
 
     def test_mobius_sum_collapses(self):
         for m in range(1, 3000):
-            total = sum(mobius(d) for d in divisors(m))
+            total = sum(sign for sign, _ in mobius_terms(m))
             assert total == (1 if m == 1 else 0), m
 
     def test_phi_divisor_sum(self):
@@ -129,9 +133,7 @@ class TestDivisorFunctions:
 
     def test_phi_mobius_identity(self):
         for s in range(1, 500):
-            assert euler_phi(s) == sum(
-                r * mobius(s // r) for r in divisors(s)
-            )
+            assert euler_phi(s) == sum(sign * k for sign, k in mobius_terms(s))
 
     def test_mobius_terms_goldens(self):
         assert mobius_terms(1) == ((1, 1),)

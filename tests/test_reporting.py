@@ -17,7 +17,6 @@ from monodyn.reporting import (
     config_hash,
     envelope,
     ff_csv,
-    jsonable,
     render_json,
     sweep_csv,
 )
@@ -39,51 +38,51 @@ class Box:
 
 
 class TestJsonable:
+    """The JSON mapping, case by case, as render_json writes it."""
+
     def test_primitives_pass_through(self):
-        assert jsonable(5) == 5
-        assert jsonable("x") == "x"
-        assert jsonable(None) is None
-        assert jsonable(True) is True
-        assert jsonable(False) is False
+        assert render_json(5) == "5\n"
+        assert render_json("x") == '"x"\n'
+        assert render_json(None) == "null\n"
+        assert render_json(True) == "true\n"
+        assert render_json(False) == "false\n"
 
     def test_bool_stays_bool(self):
-        out = jsonable({"flag": True})
-        assert out["flag"] is True
-        assert isinstance(out["flag"], bool)
+        assert render_json({"flag": True}) == '{\n  "flag": true\n}\n'
+        assert render_json([1, False]) == "[\n  1,\n  false\n]\n"
 
     def test_fraction_becomes_num_den(self):
-        assert jsonable(Fraction(2, 3)) == {"num": 2, "den": 3}
-        assert jsonable(Fraction(-7, 1)) == {"num": -7, "den": 1}
+        assert json.loads(render_json(Fraction(2, 3))) == {"num": 2, "den": 3}
+        assert json.loads(render_json(Fraction(-7, 1))) == {"num": -7, "den": 1}
 
     def test_float_rejected(self):
         with pytest.raises(TypeError):
-            jsonable(0.5)
+            render_json(0.5)
         with pytest.raises(TypeError):
-            jsonable({"x": [1, 2.0]})
+            render_json({"x": [1, 2.0]})
 
     def test_dataclass_walk(self):
-        out = jsonable(Sample(3, Fraction(1, 2), "hi"))
+        out = json.loads(render_json(Sample(3, Fraction(1, 2), "hi")))
         assert out == {"count": 3, "ratio": {"num": 1, "den": 2}, "label": "hi"}
 
     def test_int_keys_sorted_numerically(self):
-        out = jsonable({10: "a", 2: "b", 1: "c"})
+        out = json.loads(render_json({10: "a", 2: "b", 1: "c"}))
         assert list(out) == ["1", "2", "10"]
 
     def test_nested_containers(self):
-        out = jsonable({"xs": (1, Fraction(1, 4)), "m": {3: [None]}})
+        out = json.loads(render_json({"xs": (1, Fraction(1, 4)), "m": {3: [None]}}))
         assert out == {"xs": [1, {"num": 1, "den": 4}], "m": {"3": [None]}}
 
     def test_unknown_type_rejected(self):
         with pytest.raises(TypeError):
-            jsonable(object())
+            render_json(object())
 
     def test_integer_arrays_become_lists(self):
         doc = {"xs": np.array([3, -1], dtype=np.int32), "m": np.eye(2, dtype=int)}
-        out = jsonable(doc)
-        assert out == {"xs": [3, -1], "m": [[1, 0], [0, 1]]}
-        assert type(out["xs"][0]) is int
+        assert json.loads(render_json(doc)) == {"xs": [3, -1], "m": [[1, 0], [0, 1]]}
+        assert render_json(doc) == stdlib_render(doc)
         with pytest.raises(TypeError):
-            jsonable(np.array([0.5]))
+            render_json(np.array([0.5]))
 
 
 def stdlib_ref(obj):
@@ -182,6 +181,18 @@ class TestRenderer:
         with pytest.raises(TypeError):
             render_json(bad)
 
+    @pytest.mark.parametrize(
+        "doc, text",
+        [
+            ({True: 1, 2: 0}, '{\n  "True": 1,\n  "2": 0\n}\n'),
+            ({False: 0}, '{\n  "False": 0\n}\n'),
+        ],
+        ids=["bool and int", "bool alone"],
+    )
+    def test_bool_keys_sort_as_ints_and_print_as_str(self, doc, text):
+        # all-int keys sort by value (True == 1), then each key becomes str(k)
+        assert render_json(doc) == text == stdlib_render(doc)
+
 
 class TestRendering:
     def test_render_is_deterministic(self):
@@ -213,16 +224,16 @@ class TestRendering:
         )
 
     def test_envelope_fields(self):
-        env = envelope("analyze", {"q": 7}, 42, {"ok": True})
+        env = envelope("analyze", {"q": 7}, {"ok": True})
         assert env["schema"] == SCHEMA == "monodyn/1"
         assert env["version"] == __version__
         assert env["command"] == "analyze"
-        assert env["seed"] == 42
+        assert env["seed"] == 0
         assert env["input_hash"] == config_hash({"q": 7})
         assert env["result"] == {"ok": True}
 
     def test_comment_header_lines(self):
-        lines = comment_header("sweep", {"r": 1}, 0)
+        lines = comment_header("sweep", {"r": 1})
         assert lines[0] == "schema: monodyn/1"
         assert lines[1] == "command: sweep"
         assert lines[2] == "seed: 0"
@@ -243,7 +254,7 @@ class TestCsv:
 
     def test_ff_csv_golden(self):
         rep = oscillation_experiment(2, 3, 40)
-        text = ff_csv(rep, comment_header("ffield", {"q": 2, "r": 3}, 0))
+        text = ff_csv(rep, comment_header("ffield", {"q": 2, "r": 3}))
         lines = text.splitlines()
         assert lines[0].startswith("# schema: monodyn/1")
         assert lines[4] == "t,pi_K,C_r,ratio_num,ratio_den,subsequence_tag"
