@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from . import finite_field, function_field, graph_engine, mean_values, monomial
@@ -192,6 +193,8 @@ def _cmd_sweep(args) -> tuple:
 
 def _cmd_ffield(args) -> tuple:
     q = args.q
+    if args.format == "csv" and not args.oscillate:
+        raise InputRangeError("--format csv is written only by --oscillate")
     if args.density:
         if args.r is None:
             raise InputRangeError("--density requires --r")
@@ -245,7 +248,7 @@ def _cmd_verify(args) -> tuple[str, int]:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    code = 0
+    code, line = 0, None
     try:
         if args.command == "verify":
             text, code = _cmd_verify(args)
@@ -258,29 +261,30 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 text = writer(result, comment_header(args.command, config))
     except InputRangeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, line = 2, f"error: {exc}"
     except ResourceCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        code, line = 3, f"error: {exc}"
     except InvariantViolation as exc:
-        print(f"invariant violated: {exc}", file=sys.stderr)
-        return 1
+        code, line = 1, f"invariant violated: {exc}"
     except Exception as exc:
         # a defect, not a verdict: exit 1 stays "a cross-check failed"
         text = " ".join(f"{type(exc).__name__}: {exc}".split())
-        print(f"error: internal: {text}", file=sys.stderr)
-        return 4
-    try:
-        if args.output is None:
-            sys.stdout.write(text)
-        else:
-            with open(args.output, "w") as fh:
-                fh.write(text)
-    except OSError as exc:
-        target = args.output or "standard output"
-        print(f"error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
-        return 2
+        code, line = 4, f"error: internal: {text}"
+    else:
+        try:
+            if args.output is None:
+                sys.stdout.write(text)
+            else:
+                with open(args.output, "w") as fh:
+                    fh.write(text)
+        except OSError as exc:
+            target = args.output or "standard output"
+            code, line = 2, f"error: cannot write {target}: {exc.strerror or exc}"
+    if line is not None:
+        # a run of over 40 digits, such as a huge q or n, is shown as its
+        # first 12 digits and its length
+        line = re.sub(r"\d{41,}", lambda m: f"{m[0][:12]}...({len(m[0])} digits)", line)
+        print(line, file=sys.stderr)
     return code
 
 

@@ -34,8 +34,9 @@ logarithm, generator or log table enters the brute-force route.
 The defining polynomial is the monic irreducible of degree s whose
 coefficient vector encodes the smallest base-p integer, which pins the
 construction down deterministically: GF(8) gets t**3 + t + 1 and GF(9)
-gets t**2 + 1.  Conway polynomials, discrete logarithms, generators
-and field embeddings are out of scope.
+gets t**2 + 1.  Irreducibility is Rabin's test, run with `_power` in
+the candidate's own quotient ring.  Conway polynomials, discrete
+logarithms, generators and field embeddings are out of scope.
 """
 
 from __future__ import annotations
@@ -87,50 +88,24 @@ def make_field(p: int, s: int = 1) -> FieldSpec:
     return FieldSpec(p, s, q, _smallest_irreducible(p, s) + (1,))
 
 
-# ---------------------------------------------------------------------------
-# polynomial plumbing (little-endian coefficient lists over GF(p))
-
-def _poly_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    # remainder of a by b; b trimmed and nonzero
-    a = [c % p for c in a]
-    while a and a[-1] == 0:
-        a.pop()
-    inv = pow(b[-1], p - 2, p)
-    while len(a) >= len(b):
-        c = a[-1] * inv % p
-        off = len(a) - len(b)
-        for i, bi in enumerate(b):
-            a[off + i] = (a[off + i] - c * bi) % p
-        while a and a[-1] == 0:
-            a.pop()
-    return a
-
-
-def _poly_gcd_is_unit(a: list[int], b: list[int], p: int) -> bool:
-    while b:
-        a, b = b, _poly_mod(a, b, p)
-    return len(a) == 1
-
-
 def _is_irreducible(low: tuple[int, ...], p: int, s: int) -> bool:
     # g = x**s + sum(low[i] x**i) is irreducible iff x**(p**s) = x mod g
-    # and gcd(x**(p**(s/r)) - x, g) = 1 for every prime r | s; the
-    # Frobenius powers are computed in the ring GF(p)[x] / g
-    g = list(low) + [1]
-    ring = FieldSpec(p, s, p**s, tuple(g))
+    # and gcd(x**(p**(s/r)) - x, g) = 1 for every prime r | s (Rabin).
+    # Once x**(p**s) = x holds, g is squarefree and its factors have
+    # degrees dividing s, so the ring GF(p)[x] / g is a product of fields
+    # GF(p**d), d | s, in which u is coprime to g iff u**(p**s - 1) = 1.
+    # Both conditions are thus powers in that ring.
+    ring = FieldSpec(p, s, p**s, low + (1,))
     x = [0, 1] + [0] * (s - 2)
     proper = {s // r for r, _ in factorize(s).factors}
+    diffs = []  # x**(p**k) - x for each k in proper
     t = x
     for k in range(1, s + 1):
         t = _power(ring, t, p)
         if k in proper:
-            diff = list(t)
-            diff[1] = (diff[1] - 1) % p  # t minus x
-            while diff and diff[-1] == 0:
-                diff.pop()
-            if not diff or not _poly_gcd_is_unit(g, diff, p):
-                return False
-    return t == x
+            diffs.append([t[0], (t[1] - 1) % p] + t[2:])
+    one = [1] + [0] * (s - 1)
+    return t == x and all(_power(ring, d, ring.q - 1) == one for d in diffs)
 
 
 def _smallest_irreducible(p: int, s: int) -> tuple[int, ...]:

@@ -5,7 +5,10 @@ at a prime of degree d is GF(q**d).  A prime supports an r-cycle of
 the power map exactly when r divides q**d - 1, which is a condition
 on d modulo the order of q mod r.  Dirichlet density is therefore
 exactly 1 / ord_r(q), while natural density fails to exist: the
-counting ratio oscillates between two explicit subsequence limits.
+counting ratio oscillates between two explicit subsequence limits,
+approaching each along its subsequence, though not monotonically at
+small t.  A count that could not be written out (q**d past Python's
+int-to-str limit) is refused with ResourceCapError before it is formed.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ def irreducible_count(q: int, d: int) -> int:
     check_prime_power(q)
     if d < 1:
         raise InputRangeError(f"degree must be >= 1, got {d}")
+    _check_str_digits(q, d, f"degree {d} gives a count")
     total = sum(mu * q**k for mu, k in mobius_terms(d))
     if total % d:
         raise InvariantViolation(f"necklace sum not divisible by {d}")
@@ -43,6 +47,7 @@ def pi_K(q: int, t: int) -> int:
     check_prime_power(q)
     if t < 0:
         raise InputRangeError(f"t must be >= 0, got {t}")
+    _check_str_digits(q, t, f"degree bound {t} gives counts")
     return sum(irreducible_count(q, d) for d in range(1, t + 1))
 
 
@@ -121,9 +126,9 @@ class FFDensityReport:
 def oscillation_experiment(q: int, r: int, t_max: int) -> FFDensityReport:
     """Track C_r(t) / pi_K(t) for t <= t_max against both subsequence limits.
 
-    Counting is incremental, one degree at a time.  The last few
-    errors along each tagged subsequence are required to be
-    non-increasing; a violation would falsify the limit values.
+    Counting is incremental, one degree at a time.  The errors need
+    not fall monotonically at small t, so the series is returned
+    unchecked; the verification battery tests the limits at large t.
 
     Every count in the series is at most pi_K(t_max) < 2 * q**t_max;
     ResourceCapError is raised before any counting starts when such
@@ -138,9 +143,10 @@ def oscillation_experiment(q: int, r: int, t_max: int) -> FFDensityReport:
     pi_total = 0
     c_total = 0
     for t in range(1, t_max + 1):
-        pi_total += irreducible_count(q, t)
+        count = irreducible_count(q, t)
+        pi_total += count
         if t % l == 0:
-            c_total += irreducible_count(q, t)
+            c_total += count
         ratio = Fraction(c_total, pi_total)
         if not 0 <= ratio <= 1:
             raise InvariantViolation(f"counting ratio {ratio} outside [0, 1]")
@@ -150,13 +156,6 @@ def oscillation_experiment(q: int, r: int, t_max: int) -> FFDensityReport:
         if (t + 1) % l == 0:
             tag += "B"
         points.append(SeriesPoint(t, pi_total, c_total, ratio, tag))
-    for tag, limit in (("A", limit_a), ("B", limit_b)):
-        errs = [abs(pt.ratio - limit) for pt in points if tag in pt.tag]
-        tail = errs[-3:]
-        if any(a < b for a, b in zip(tail, tail[1:])):
-            raise InvariantViolation(
-                f"subsequence {tag} errors increase near t_max: {tail}"
-            )
     return FFDensityReport(q, r, l, t_max, tuple(points), limit_a, limit_b)
 
 

@@ -90,23 +90,6 @@ def has_r_periodic(q: int, n: int, r: int) -> bool:
     return all(m_j(q, n, j) % mr for j in range(1, r))
 
 
-def sum_periodic(q: int, n: int, up_to: int) -> int:
-    """Periodic points counted period by period for r = 1..up_to.
-
-    Requires up_to >= r_hat(q, n), past which every term is zero, so
-    the sum equals q*(n) + 1.
-    """
-    rh = r_hat(q, n)
-    if up_to < rh:
-        raise InputRangeError(f"upper bound {up_to} is below the maximum period {rh}")
-    return sum(periodic_count(q, n, r) for r in range(1, up_to + 1))
-
-
-def total_cycles(q: int, n: int) -> int:
-    """Number of cycles of the full state space (0 contributes one)."""
-    return sum(cycle_count(q, n, r) for r in divisors(r_hat(q, n)))
-
-
 def is_fixed_point_system(q: int, n: int) -> bool:
     """Every cycle has length 1, equivalently q*(n) divides n - 1."""
     return (n - 1) % q_star(q, n) == 0

@@ -60,11 +60,12 @@ def structure_sweep(q_limit: int, n_max: int) -> tuple[list, dict]:
     prime power q <= q_limit and every exponent 2 <= n <= n_max.
 
     Also checks the structural predicates: the full graph is never
-    weakly connected, the nonzero part is weakly connected iff
-    q* = 1, strongly connected iff q = 2, and the system is all
-    fixed points iff r-hat = 1; and the element-order characterization
-    of periodic points.  Failures are tagged "formula", "structure" or
-    "orders"; counts are the fields and systems swept.
+    weakly connected, the nonzero part is weakly connected iff q* = 1,
+    strongly connected iff q = 2, the system is all fixed points iff
+    r-hat = 1, and an r-cycle (r >= 2, r | r-hat) exists iff the paper's
+    criterion `has_r_periodic` says so; and the element-order
+    characterization of periodic points.  Failures are tagged "formula",
+    "structure" or "orders"; counts are the fields and systems swept.
     """
     fields = systems = 0
     failures = []
@@ -88,6 +89,10 @@ def structure_sweep(q_limit: int, n_max: int) -> tuple[list, dict]:
                 == (prof.r_hat == 1)
                 == (max_len == 1),
                 st.periodic_total == qs + 1,
+                all(
+                    monomial.has_r_periodic(q, n, r) == (r in st.c_brute)
+                    for r in divisors(prof.r_hat)[1:]
+                ),
             )
             if not all(preds):
                 failures.append(("structure", q, n, preds))

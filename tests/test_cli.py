@@ -18,6 +18,7 @@ import monodyn.graph_engine
 import monodyn.mean_values
 import monodyn.monomial
 import monodyn.reporting
+import monodyn.verify
 from monodyn.cli import main
 
 
@@ -109,6 +110,22 @@ class TestAnalyze:
         code, out, err = run(capsys, *argv, "--q", q)
         assert code == 2 and out == ""
         assert err == f"error: q must be at most 2**63 - 1, got {q}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--r", "2", "--t", "100", "--n"],
+            ["ffield", "--q", "3", "--dmean", "--r", "4", "--n"],
+            ["analyze", "--q", "7", "--n"],
+            ["analyze", "--n", "2", "--q"],
+        ],
+        ids=["sweep", "dmean", "analyze-n", "analyze-q"],
+    )
+    def test_long_integer_shortened_in_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv, str(7**4900))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and len(err) < 200, err[:200]
+        assert " 955863921769...(4141 digits)" in err, err
 
     def test_unwritable_output_is_bad_input(self, capsys, tmp_path):
         target = tmp_path / "missing" / "report.json"
@@ -213,7 +230,9 @@ class TestRenderTracing:
 
 #: (argv, exit code, digest of stdout and stderr) for reports, error
 #: lines and exit codes, recorded before the report step of `main` was
-#: folded into one; every one must stay byte-identical.
+#: folded into one; every one must stay byte-identical.  The two
+#: `ffield ... --format csv` entries without --oscillate were recorded
+#: again when that format, once ignored there, became an input error.
 REPORT_DIGESTS = [
     ("analyze --q 7 --n 2", 0, "dabc69918c4360f03c3d02f9ecda3642"),
     ("analyze --q 19 --n 2 --a 3", 0, "4b6c834ca0960b94fcf81319e9060b44"),
@@ -244,14 +263,14 @@ REPORT_DIGESTS = [
     ("ffield --q 3 --density --r 4", 0, "dac3e06d0cccb54efd31502ccf916339"),
     (
         "ffield --q 3 --density --r 4 --format csv",
-        0,
-        "dac3e06d0cccb54efd31502ccf916339",
+        2,
+        "e95c56c6c56f30604e06f5abfaf48f9c",
     ),
     ("ffield --q 3 --dmean --r 4 --n 2", 0, "8c63cd51654949778481850a302d1fa4"),
     (
         "ffield --q 3 --dmean --r 4 --n 2 --format csv",
-        0,
-        "8c63cd51654949778481850a302d1fa4",
+        2,
+        "e95c56c6c56f30604e06f5abfaf48f9c",
     ),
     ("ffield --q 2 --oscillate --r 3 --t 40", 0, "6c47436a1fd761b49d69395a6d92888c"),
     (
@@ -445,6 +464,34 @@ class TestFfield:
         code, _, _ = run(capsys, "ffield", "--q", "2", "--r", "4", "--density")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "q, r, t",
+        [(2, 3, t) for t in range(11, 19)]
+        + [(2, 5, t) for t in range(11, 19)]
+        + [(3, 4, t) for t in range(7, 13)]
+        + [(5, 3, t) for t in range(5, 9)],
+    )
+    def test_oscillate_small_degree_bound_passes(self, capsys, q, r, t):
+        # the subsequence errors may still rise near a small t; that is
+        # no failed cross-check
+        code, out, err = run(
+            capsys, "ffield", "--q", str(q), "--r", str(r), "--t", str(t),
+            "--oscillate",
+        )
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)["result"]["series"]) == t
+
+    @pytest.mark.parametrize(
+        "mode", [["--density"], ["--dmean", "--n", "2"]], ids=["density", "dmean"]
+    )
+    def test_csv_refused_without_writer(self, capsys, mode):
+        code, out, err = run(
+            capsys, "ffield", "--q", "3", "--r", "4", *mode, "--format", "csv"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--format csv" in err
+
 
 #: `monodyn verify --scope quick --seed 7` with each [x.xxs] masked.
 QUICK_VERIFY = """\
@@ -473,6 +520,17 @@ class TestVerify:
         line = next(ln for ln in out.splitlines() if "structure_sweep" in ln)
         assert line.startswith("FAIL  structure_sweep  [")
         assert re.search(r"\(\d+ failures, first: \('structure', ", line), line
+
+    def test_existence_criterion_checked_against_brute(self, monkeypatch):
+        real = monodyn.monomial.has_r_periodic
+
+        def lying(q, n, r):
+            return not real(q, n, r) if (q, n, r) == (19, 2, 6) else real(q, n, r)
+
+        monkeypatch.setattr(monodyn.monomial, "has_r_periodic", lying)
+        failures, counts = monodyn.verify.structure_sweep(30, 3)
+        assert counts == {"fields": 16, "systems": 32}
+        assert [f[:3] for f in failures] == [("structure", 19, 2)]
 
     def test_defect_in_a_check_is_internal_error(self, capsys, monkeypatch):
         # a check that crashes is a defect (exit 4), not a failed check (exit 1)
@@ -591,7 +649,8 @@ class TestFuzz:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(argv)
             secs = time.perf_counter() - t0
-        assert code in (0, 1, 2, 3), (argv, err.getvalue())
+        # exit 1 means a failed cross-check, which no input may cause
+        assert code in (0, 2, 3), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
         if code:
             assert err.getvalue().count("\n") <= 1, err.getvalue()

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -58,6 +60,20 @@ class TestConstruction:
         with pytest.raises(ResourceCapError):
             make_field(2, 23)
         assert make_field(2, 22).q == FIELD_CAP
+
+    def test_every_modulus_pinned(self):
+        # the moduli of all 400 extension fields up to the cap, digested
+        # as recorded before the irreducibility test was rewritten
+        lines = [
+            f"{p} {s} {make_field(p, s).modulus}"
+            for _, p, s in prime_powers_up_to(FIELD_CAP)
+            if s >= 2
+        ]
+        assert len(lines) == 400
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == (
+            "c704103cf32c6cb3ef90b599b871e4082ed709695f2c255c0fa25be00c4aa9ce"
+        )
 
     def test_irreducible_counts_match_necklace(self):
         # the construction-time irreducibility test agrees with the

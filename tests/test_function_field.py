@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from monodyn.errors import InputRangeError, InvariantViolation
+from monodyn.errors import InputRangeError, ResourceCapError
 from monodyn.function_field import (
     dirichlet_C_K,
     dirichlet_D_K,
@@ -51,6 +51,12 @@ class TestIrreducibleCounts:
             for D in range(1, 21):
                 total = sum(d * irreducible_count(q, d) for d in divisors(D))
                 assert total == q**D, (q, D)
+
+    @pytest.mark.parametrize("count", [irreducible_count, pi_K])
+    def test_degree_past_int_str_limit(self, count):
+        # 2**20000 has 6021 digits, over the default limit of 4300
+        with pytest.raises(ResourceCapError):
+            count(2, 20000)
 
     def test_input_errors(self):
         with pytest.raises(InputRangeError):
@@ -158,10 +164,15 @@ class TestOscillation:
             assert pt.ratio == 1
             assert pt.tag == "AB"
 
-    def test_tiny_range_trips_monotonicity_guard(self):
-        # with so few degrees the B-subsequence errors are still rough
-        with pytest.raises(InvariantViolation):
-            oscillation_experiment(2, 3, 12)
+    def test_tiny_range_is_a_valid_series(self):
+        # the B errors still rise near t = 12; that is no violation
+        rep = oscillation_experiment(2, 3, 12)
+        assert [pt.t for pt in rep.series] == list(range(1, 13))
+        for pt in rep.series:
+            assert (pt.pi_K, pt.c_r) == (pi_K(2, pt.t), C_r_count(2, 3, pt.t))
+            assert pt.ratio == Fraction(pt.c_r, pt.pi_K)
+        b_errs = [abs(pt.ratio - rep.limit_B) for pt in rep.series if "B" in pt.tag]
+        assert b_errs[-2] < b_errs[-1]
 
     def test_range_must_reach_first_subsequence_point(self):
         with pytest.raises(InputRangeError):

@@ -17,8 +17,6 @@ from monodyn.monomial import (
     profile,
     q_star,
     r_hat,
-    sum_periodic,
-    total_cycles,
 )
 from monodyn.numtheory import divisors
 
@@ -85,8 +83,8 @@ class TestPeriodicCounts:
         assert cycle_count(7, 2, 2) == 1
         assert periodic_count(5, 2, 2) == 0
         assert periodic_count(3, 3, 2) == 0
-        assert sum_periodic(3, 3, 1) == 3
-        assert total_cycles(2, 5) == 2
+        assert periodic_count(3, 3, 1) == 3
+        assert sum(cycle_count(2, 5, r) for r in divisors(r_hat(2, 5))) == 2
 
     def test_point_count_identity(self):
         # m_j + 1 recovered by summing exact-period counts over divisors
@@ -131,16 +129,12 @@ class TestPeriodicCounts:
             for n in (2, 3, 5, 11):
                 assert periodic_count(q, n, r_hat(q, n)) > 0, (q, n)
 
-    def test_sum_bound_enforced(self):
-        assert r_hat(19, 2) == 6
-        with pytest.raises(InputRangeError):
-            sum_periodic(19, 2, 5)
-
 
 class TestTotals:
     @given(st.sampled_from(PRIME_POWERS), st.integers(min_value=2, max_value=20))
     def test_total_periodic_is_q_star_plus_one(self, q, n):
-        assert sum_periodic(q, n, r_hat(q, n)) == q_star(q, n) + 1
+        total = sum(periodic_count(q, n, r) for r in range(1, r_hat(q, n) + 1))
+        assert total == q_star(q, n) + 1
 
     def test_bijectivity_criterion(self):
         for q in PRIME_POWERS[:40]:
@@ -190,7 +184,8 @@ class TestProfile:
             assert r_hat(q, n) % r == 0
             assert cnt == prof.per_length[r] * r
         assert prof.total_periodic == q_star(q, n) + 1
-        assert prof.total_cycles == total_cycles(q, n)
+        cycles = sum(cycle_count(q, n, r) for r in divisors(r_hat(q, n)))
+        assert prof.total_cycles == cycles
         assert max(prof.per_period) == prof.r_hat
 
     def test_keys_are_occurring_lengths_only(self):
