@@ -129,9 +129,11 @@ def _block_total(args) -> int:
     """Exact sum of the per-prime counts over one block of primes.
 
     Every term modulus M = n**k - 1 divides L = n**r - 1, the first
-    term's, so gcd(p**s - 1, M) = gcd(g, M) with g = gcd(p**s - 1, L):
-    each class g is evaluated once, in Python ints, and weighted by the
-    number of its primes.
+    term's, so gcd(p**s - 1, M) = gcd(g, M) with g = gcd(p**s - 1, L).
+    gcd_classes sorts the block's primes into the classes g by lookup
+    tables built once per L from its factorization; each class is then
+    evaluated once, in Python ints, and weighted by the number of its
+    primes.
     """
     s, terms, primes = args
     L = terms[0][1]

@@ -26,6 +26,9 @@ SIEVE_CAP = 10**8
 
 _TRIAL_BOUND = 10**6
 
+# Largest modulus given a gcd lookup table in gcd_classes (512 KB as int64).
+_TABLE_CAP = 2**16
+
 # Deterministic Miller-Rabin witness set, valid for every modulus < 2**64.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -285,20 +288,61 @@ def primes_up_to(t: int) -> list[int]:
     return prime_array(t).tolist()
 
 
+@lru_cache(maxsize=8)
+def _gcd_tables(m: int) -> tuple[tuple, tuple]:
+    """Lookup tables of gcd(i, M), and the prime powers of m they leave out.
+
+    Each prime power l**e of m up to _TABLE_CAP joins, largest first,
+    the first table it fits: the table of gcd(i, M), i < M, is tiled
+    l**e times and every index divisible by l**k, k = 1..e, multiplied
+    by l once more, which makes it the table of gcd(i, M * l**e).  The
+    moduli M = len(table) are pairwise coprime, at most _TABLE_CAP, and
+    multiply with the larger prime powers, returned as (l, l**e), to m.
+    """
+    tables: list[np.ndarray] = []
+    big = []
+    for l, e in reversed(factorize(m).factors):
+        le = l**e
+        if le > _TABLE_CAP:
+            big.append((l, le))
+            continue
+        fits = [i for i, t in enumerate(tables) if len(t) * le <= _TABLE_CAP]
+        i = fits[0] if fits else len(tables)
+        if not fits:
+            tables.append(np.ones(1, dtype=np.int64))
+        tab = np.tile(tables[i], le)
+        for k in range(1, e + 1):
+            tab[:: l**k] *= l
+        tables[i] = tab
+    return tuple(tables), tuple(big)
+
+
 def gcd_classes(values: np.ndarray, s: int, m: int) -> list[tuple[int, int]]:
     """(g, count) pairs, g ascending: how many v have gcd(v**s - 1, m) = g.
 
     values is an int64 array of positive integers and 1 <= m <= 2**63 - 1.
     v**s - 1 is formed directly in int64 when s times the bit length of
     max(values) is at most 63, where that is exact; otherwise v**s is
-    reduced mod m by one Python pow per value.
+    reduced mod m by one Python pow per value (x = -1 when m | v**s).
+
+    gcd(x, m) is the product of its parts on coprime factors of m (CRT):
+    tab[x % len(tab)] for each table of _gcd_tables, where numpy's %
+    lands in [0, len(tab)) for x = -1 too, and for each larger prime
+    power one numpy gcd on just the x divisible by its prime.
     """
     top = int(values.max(initial=1))
     if s * top.bit_length() <= 63:
         x = values**s - 1
     else:
         x = np.array([pow(v, s, m) for v in values.tolist()], dtype=np.int64) - 1
-    classes, counts = np.unique(np.gcd(x, m), return_counts=True)
+    tables, big = _gcd_tables(m)
+    g = np.ones(len(x), dtype=np.int64)
+    for tab in tables:
+        g *= tab[x % len(tab)]
+    for l, le in big:
+        hit = np.flatnonzero(x % l == 0)
+        g[hit] *= np.gcd(x[hit], le)
+    classes, counts = np.unique(g, return_counts=True)
     return list(zip(classes.tolist(), counts.tolist()))
 
 

@@ -93,6 +93,13 @@ def scalar_sweep_total(r: int, s: int, n: int, primes) -> int:
     return total
 
 
+def literal_has_r_periodic(q: int, n: int, r: int) -> bool:
+    """The paper's r-cycle criterion as stated: with m_j = gcd(n**j - 1,
+    q - 1), m_r divides none of m_1 .. m_{r-1}."""
+    m = [gcd(n**j - 1, q - 1) for j in range(1, r + 1)]
+    return all(mj % m[-1] for mj in m[:-1])
+
+
 def analytic_C_mean(r: int, s: int, n: int) -> Fraction:
     """Limiting mean of the r-cycle count over primes: N / r, reduced.
 

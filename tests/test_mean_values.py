@@ -270,6 +270,18 @@ class TestSweepAgainstScalarLoop:
     def test_each_residue_branch(self, r, s, n, t):
         assert_sweep_matches_oracle(r, s, n, t)
 
+    @pytest.mark.parametrize(
+        "r, s, n, t, l",
+        [
+            (32, 2, 2, 300000, 65537),  # L = 2**32 - 1; p = 262147 hits 65537
+            (18, 2, 7, 300000, 117307),  # p = 234613 hits 117307
+        ],
+    )
+    def test_prime_factor_of_L_above_table_cap(self, r, s, n, t, l):
+        assert (n**r - 1) % l == 0 and l > 2**16
+        assert any((p**s - 1) % l == 0 for p in oracle_primes(t))
+        assert_sweep_matches_oracle(r, s, n, t)
+
     def test_checkpoints_on_and_next_to_block_cuts(self):
         # the 20000th and 40000th primes are 224737 and 479909
         cps = [224736, 224737, 224738, 479908, 479909, 479910]

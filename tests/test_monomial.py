@@ -20,7 +20,7 @@ from monodyn.monomial import (
 )
 from monodyn.numtheory import divisors
 
-from oracles import naive_divisors
+from oracles import literal_has_r_periodic, naive_divisors, naive_factor
 
 
 PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32,
@@ -109,6 +109,13 @@ class TestPeriodicCounts:
     )
     def test_existence_test_matches_count(self, q, n, r):
         assert has_r_periodic(q, n, r) == (periodic_count(q, n, r) > 0)
+
+    def test_existence_matches_literal_criterion(self):
+        for q in (q for q in range(2, 501) if len(naive_factor(q)) == 1):
+            for n in range(2, 17):
+                for r in range(2, 25):
+                    want = literal_has_r_periodic(q, n, r)
+                    assert has_r_periodic(q, n, r) == want, (q, n, r)
 
     def test_existence_rejects_fixed_points(self):
         with pytest.raises(InputRangeError):

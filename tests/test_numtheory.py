@@ -264,6 +264,7 @@ class TestPrimes:
 
 
 class TestGcdClasses:
+    # v = 1 makes x = 0, whose gcd with m is m itself
     VALUES = naive_primes(3000) + [1, 2**21 - 1, 2**21 + 1, 99_999_989]
 
     @pytest.mark.parametrize(
@@ -277,12 +278,37 @@ class TestGcdClasses:
             (2**40, 2**40 - 1),
             (5, 1),
             (1, MAX_INPUT),
+            # 2**60 - 1 has 11 prime powers, packed into several tables
+            (1, 2**60 - 1),
+            (2, 2**60 - 1),
+            (3, 2**60 - 1),
         ],
     )
     def test_against_per_value_gcd(self, s, m):
-        want = Counter(gcd((pow(v, s, m) + m - 1) % m, m) for v in self.VALUES)
-        got = gcd_classes(np.array(self.VALUES, dtype=np.int64), s, m)
-        assert got == sorted(want.items())
+        assert_classes_match(self.VALUES, s, m)
+
+    def test_prime_power_above_table_cap(self):
+        # 65537**2 is one prime power past the tables: x = 65537**2 hits
+        # it fully, x = 2 * 65537 once, and the primes mostly not at all
+        values = self.VALUES + [65537**2 + 1, 2 * 65537 + 1]
+        assert_classes_match(values, 1, 3 * 65537**2)
+        assert (65537**2, 1) in gcd_classes(
+            np.array(values, dtype=np.int64), 1, 3 * 65537**2
+        )
+
+    @given(
+        st.integers(min_value=1, max_value=MAX_INPUT),
+        st.sampled_from([1, 2, 3]),
+        st.lists(st.integers(min_value=1, max_value=MAX_INPUT), min_size=1, max_size=40),
+    )
+    def test_random_moduli_and_values(self, m, s, values):
+        assert_classes_match(values, s, m)
+
+
+def assert_classes_match(values, s, m):
+    want = Counter(gcd((pow(v, s, m) + m - 1) % m, m) for v in values)
+    got = gcd_classes(np.array(values, dtype=np.int64), s, m)
+    assert got == sorted(want.items())
 
 
 class TestPrimePowers:
