@@ -1,40 +1,41 @@
 """Explicit arithmetic in GF(p**s), with one vectorised path for every field.
 
-A single element is a tuple of s residues in [0, p), constant term
-first: (c0, c1, ..., c_{s-1}) stands for c0 + c1*t + ... for a root t
-of the field's defining polynomial.  A prime field is the case s = 1.
-Tuples are always kept reduced, so equality and hashing are
-structural, and every operation takes the FieldSpec explicitly; there
-is no global registry of fields.
+An element has two forms.  Outside this module it is an integer index
+in [0, q): the base-p encoding of its coefficients c0 + c1*t + ... for
+a root t of the field's defining polynomial, constant term least
+significant, so 0 and 1 keep their indices.  Inside it, an element is
+a list of s coefficient rows, constant term first: Python ints in
+[0, p) for one element, or equal-length int64 arrays for a batch, where
+row i holds coefficient i of every element.  A prime field is the case
+s = 1.  Every operation takes the FieldSpec explicitly; there is no
+global registry of fields.
 
-A batch of N elements is an int64 array of shape (s, N), laid out
-coefficient-major: row i holds coefficient i of every element, so each
-step below works on contiguous length-N rows.  The arithmetic runs on
-coefficient rows, and the same loop serves one element, whose rows are
-ints, and a batch, whose rows are arrays: `mul` forms the schoolbook
-product in 2s - 1 rows, folds the degrees 2s-2 down to s back onto the
-lower rows with t**s = -(low part of the modulus), each folded row
-reduced mod p first, and reduces the s rows left mod p at the end;
-`power` squares and multiplies.  Both take element tuples or (s, N)
-batches, elementwise, and a tuple times a batch scales every element
-of the batch.  int64 cannot overflow: every product or fold term is
-below p**2, at most 2s of them add up in one row (s from the product,
-fewer than s from the fold), and q <= 2**22 bounds p**2 by 2**44 and
-2s by 44, so every entry stays below 2**50.
+`mul` and `power` work on rows, elementwise, and the same loop serves
+one element and a batch; an int row times an array row scales the
+batch.  `mul` forms the schoolbook product in 2s - 1 rows, folds the
+degrees 2s-2 down to s back onto the lower rows with
+t**s = -(low part of the modulus), each folded row reduced mod p
+first, and reduces the s rows left mod p at the end; `power` squares
+and multiplies.  Both return a fresh list of s rows, except that
+`power(spec, x, 1)` returns x's own rows, so callers never write into
+a result.  Scalars stay on int rows: numpy's per-call overhead makes
+one-element arrays many times slower.  int64 cannot overflow: every
+product or fold term is below p**2, at most 2s of them add up in one
+row (s from the product, fewer than s from the fold), and q <= 2**22
+bounds p**2 by 2**44 and 2s by 44, so every entry stays below 2**50.
 
-The element index is the base-p encoding of the coefficient vector,
-constant term least significant, so 0 and 1 keep their indices.
-`to_digits` and `from_digits` convert whole index arrays, and
-`batches` walks a field in chunks of CHUNK elements, which bounds the
-working memory of `element_orders` and the graph engine's successor
-array at every field size up to FIELD_CAP.  `element_orders` needs
-only the factorization of q - 1 and batched powers: no discrete
-logarithm, generator or log table enters the brute-force route.
+`digits` gives the int rows of one index, `to_digits` and
+`from_digits` convert whole index arrays, and `batches` walks a field
+in chunks of CHUNK elements, which bounds the working memory of
+`element_orders` and the graph engine's successor array at every field
+size up to FIELD_CAP.  `element_orders` needs only the factorization
+of q - 1 and batched powers: no discrete logarithm, generator or log
+table enters the brute-force route.
 
 The defining polynomial is the monic irreducible of degree s whose
 coefficient vector encodes the smallest base-p integer, which pins the
 construction down deterministically: GF(8) gets t**3 + t + 1 and GF(9)
-gets t**2 + 1.  Irreducibility is Rabin's test, run with `_power` in
+gets t**2 + 1.  Irreducibility is Rabin's test, run with `power` in
 the candidate's own quotient ring.  Conway polynomials, discrete
 logarithms, generators and field embeddings are out of scope.
 """
@@ -56,8 +57,6 @@ FIELD_CAP = 2**22
 #: arrays to a few MB for every field up to FIELD_CAP.
 CHUNK = 2**15
 
-Element = tuple[int, ...]
-
 
 @dataclass(frozen=True)
 class FieldSpec:
@@ -65,12 +64,6 @@ class FieldSpec:
     s: int
     q: int
     modulus: tuple[int, ...] | None  # monic, length s + 1, present iff s > 1
-
-    def zero(self) -> Element:
-        return (0,) * self.s
-
-    def one(self) -> Element:
-        return (1,) + (0,) * (self.s - 1)
 
 
 @lru_cache(maxsize=None)
@@ -101,11 +94,11 @@ def _is_irreducible(low: tuple[int, ...], p: int, s: int) -> bool:
     diffs = []  # x**(p**k) - x for each k in proper
     t = x
     for k in range(1, s + 1):
-        t = _power(ring, t, p)
+        t = power(ring, t, p)
         if k in proper:
             diffs.append([t[0], (t[1] - 1) % p] + t[2:])
     one = [1] + [0] * (s - 1)
-    return t == x and all(_power(ring, d, ring.q - 1) == one for d in diffs)
+    return t == x and all(power(ring, d, ring.q - 1) == one for d in diffs)
 
 
 def _smallest_irreducible(p: int, s: int) -> tuple[int, ...]:
@@ -121,9 +114,8 @@ def _smallest_irreducible(p: int, s: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # element operations
 
-def _mul(spec: FieldSpec, x, y) -> list:
-    # x and y are s coefficient rows each, ints or int64 arrays; the
-    # same loop multiplies one element or, row by row, a whole batch
+def mul(spec: FieldSpec, x: list, y: list) -> list:
+    """x * y on coefficient rows, elementwise; a fresh list of s rows."""
     p, s = spec.p, spec.s
     prod = [0] * (2 * s - 1)
     for i in range(s):
@@ -139,41 +131,26 @@ def _mul(spec: FieldSpec, x, y) -> list:
     return [c % p for c in prod[:s]]
 
 
-def _power(spec: FieldSpec, x, k: int) -> list:
+def power(spec: FieldSpec, x: list, k: int) -> list:
+    """x**k on coefficient rows, k >= 0; for k = 1, x's own rows."""
     if k < 0:
         raise InputRangeError("negative exponents are not supported")
     out = None
     while k:
         if k & 1:
-            out = x if out is None else _mul(spec, out, x)
+            out = x if out is None else mul(spec, out, x)
         k >>= 1
         if k:
-            x = _mul(spec, x, x)
+            x = mul(spec, x, x)
     if out is None:  # k == 0: the one of the field, shaped like x
         out = [c * 0 for c in x]
         out[0] = out[0] + 1
     return out
 
 
-def _pack(rows: list):
-    return np.array(rows) if isinstance(rows[0], np.ndarray) else tuple(rows)
-
-
-def mul(spec: FieldSpec, x: Element | np.ndarray, y: Element | np.ndarray):
-    """x * y for element tuples or, elementwise, (s, N) batches.
-
-    A tuple times a batch multiplies every element of the batch by it.
-    Two tuples give a tuple, anything else an (s, N) batch.
-    """
-    return _pack(_mul(spec, x, y))
-
-
-def power(spec: FieldSpec, x: Element | np.ndarray, k: int):
-    """x**k for an element tuple or, elementwise, an (s, N) batch.
-
-    Square and multiply; k must be nonnegative.
-    """
-    return _pack(_power(spec, x, k))
+def digits(spec: FieldSpec, i: int) -> list[int]:
+    """The coefficient rows of the element with index i, as Python ints."""
+    return [(i // spec.p**j) % spec.p for j in range(spec.s)]
 
 
 def to_digits(spec: FieldSpec, idx: np.ndarray) -> np.ndarray:
@@ -184,8 +161,8 @@ def to_digits(spec: FieldSpec, idx: np.ndarray) -> np.ndarray:
     return out
 
 
-def from_digits(spec: FieldSpec, x: np.ndarray) -> np.ndarray:
-    """Element indices of an (s, N) batch."""
+def from_digits(spec: FieldSpec, x) -> np.ndarray:
+    """Indices of the elements given as s rows of equal-length arrays."""
     idx = x[-1].copy()
     for row in x[-2::-1]:
         idx *= spec.p
@@ -199,28 +176,9 @@ def batches(spec: FieldSpec, start: int = 0):
         yield to_digits(spec, np.arange(lo, min(lo + CHUNK, spec.q), dtype=np.int64))
 
 
-def element_index(spec: FieldSpec, x: Element) -> int:
-    """Base-p encoding of the coefficient vector; 0 and 1 map to 0 and 1."""
-    idx = 0
-    for c in reversed(x):
-        idx = idx * spec.p + c
-    return idx
-
-
-def index_element(spec: FieldSpec, i: int) -> Element:
-    if not 0 <= i < spec.q:
-        raise InputRangeError(f"element index must be in [0, {spec.q}), got {i}")
-    p = spec.p
-    coeffs = []
-    for _ in range(spec.s):
-        coeffs.append(i % p)
-        i //= p
-    return tuple(coeffs)
-
-
 @lru_cache(maxsize=1)
 def element_orders(spec: FieldSpec) -> np.ndarray:
-    """Orders of all elements, indexed by element_index; slot 0 holds 0.
+    """Orders of all elements, indexed by element index; slot 0 holds 0.
 
     For each prime power l**e exactly dividing q - 1, y = x**((q-1)/l**e)
     has order the l-part of the order of x, which is l**j for the number
@@ -236,10 +194,10 @@ def element_orders(spec: FieldSpec) -> np.ndarray:
     for x in batches(spec, lo):
         orders = np.ones(x.shape[1], dtype=np.int64)
         for l, e in factors:
-            y = _power(spec, x, (q - 1) // l**e)
+            y = power(spec, x, (q - 1) // l**e)
             for j in range(e):
                 if j:
-                    y = _power(spec, y, l)
+                    y = power(spec, y, l)
                 orders[from_digits(spec, y) != 1] *= l
         out[lo : lo + len(orders)] = orders
         lo += len(orders)

@@ -41,13 +41,11 @@ import numpy as np
 from . import monomial
 from .errors import InputRangeError, InvariantViolation
 from .finite_field import (
-    Element,
     FieldSpec,
     batches,
-    element_index,
+    digits,
     element_orders,
     from_digits,
-    index_element,
     mul,
     power,
 )
@@ -64,7 +62,7 @@ INTP_NODES = 2**16
 class DynSystem:
     field: FieldSpec
     n: int
-    a: Element
+    a_index: int
 
 
 def monomial_system(field: FieldSpec, n: int, a_index: int = 1) -> DynSystem:
@@ -75,7 +73,7 @@ def monomial_system(field: FieldSpec, n: int, a_index: int = 1) -> DynSystem:
         raise InputRangeError(
             f"coefficient index must name a nonzero element, got {a_index}"
         )
-    return DynSystem(field, n, index_element(field, a_index))
+    return DynSystem(field, n, a_index)
 
 
 @dataclass(frozen=True)
@@ -107,7 +105,7 @@ class OrbitStructure:
 
 
 def successor_array(sys: DynSystem) -> np.ndarray:
-    """successor[i] = element_index(f(element i)) as one int32 array.
+    """successor[i] = index of f(element i), as one int32 array.
 
     The exponent is reduced first: e = (n - 1) % (q - 1) + 1 lies in
     [1, q - 1] and is congruent to n modulo q - 1, so x**e = x**n on the
@@ -115,12 +113,13 @@ def successor_array(sys: DynSystem) -> np.ndarray:
     """
     spec = sys.field
     e = (sys.n - 1) % (spec.q - 1) + 1
+    a = digits(spec, sys.a_index)
     out = np.empty(spec.q, dtype=np.int32)
     lo = 0
     for x in batches(spec):
         y = power(spec, x, e)
-        if sys.a != spec.one():
-            y = mul(spec, sys.a, y)
+        if sys.a_index != 1:
+            y = mul(spec, a, y)
         hi = lo + x.shape[1]
         out[lo:hi] = from_digits(spec, y)
         lo = hi
@@ -229,7 +228,7 @@ def build(sys: DynSystem) -> OrbitStructure:
     return OrbitStructure(
         q=spec.q,
         n=sys.n,
-        a_index=element_index(spec, sys.a),
+        a_index=sys.a_index,
         successor=succ,
         component_id=comp,
         cycle_id=cyc,
@@ -257,19 +256,20 @@ def star_strongly_connected(st: OrbitStructure) -> bool:
     return any(c.length == st.q - 1 and 0 not in c.members for c in st.cycles)
 
 
-def is_mth_power(spec: FieldSpec, a: Element, m: int) -> bool:
-    """Membership of a in the subgroup of m-th powers of the unit group."""
-    if a == spec.zero():
-        raise InputRangeError("zero is not in the unit group")
+def is_mth_power(spec: FieldSpec, a_index: int, m: int) -> bool:
+    """Membership of element a_index in the subgroup of m-th powers of
+    the unit group."""
+    if not 1 <= a_index < spec.q:
+        raise InputRangeError(f"unit index must be in [1, {spec.q}), got {a_index}")
     if m < 1:
         raise InputRangeError(f"power index must be >= 1, got {m}")
     e = (spec.q - 1) // gcd(m, spec.q - 1)
-    return power(spec, a, e) == spec.one()
+    return power(spec, digits(spec, a_index), e) == digits(spec, 1)
 
 
 def has_nonzero_fixed(sys: DynSystem) -> bool:
     """Solvability of a * x**(n-1) = 1, i.e. f has a nonzero fixed point."""
-    return is_mth_power(sys.field, sys.a, sys.n - 1)
+    return is_mth_power(sys.field, sys.a_index, sys.n - 1)
 
 
 @dataclass(frozen=True)
@@ -295,7 +295,7 @@ def check_order_characterization(
     check refuses them.
     """
     spec = sys.field
-    if sys.a != spec.one():
+    if sys.a_index != 1:
         raise InputRangeError("order characterization requires coefficient 1")
     if st is None:
         st = build(sys)
@@ -364,7 +364,7 @@ def dichotomy_report(
     if st is None:
         st = build(sys)
     q, n = spec.q, sys.n
-    in_image = is_mth_power(spec, sys.a, n - 1)
+    in_image = is_mth_power(spec, sys.a_index, n - 1)
     expected = monomial.q_star(q, n) + 1
     totals_ok = st.periodic_total == expected
     formula_ok = None

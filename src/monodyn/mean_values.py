@@ -15,6 +15,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
 
 from .errors import InputRangeError, InvariantViolation
@@ -125,24 +126,6 @@ def default_checkpoints(t_max: int) -> list[int]:
     return out
 
 
-def _block_total(args) -> int:
-    """Exact sum of the per-prime counts over one block of primes.
-
-    Every term modulus M = n**k - 1 divides L = n**r - 1, the first
-    term's, so gcd(p**s - 1, M) = gcd(g, M) with g = gcd(p**s - 1, L).
-    gcd_classes sorts the block's primes into the classes g by lookup
-    tables built once per L from its factorization; each class is then
-    evaluated once, in Python ints, and weighted by the number of its
-    primes.
-    """
-    s, terms, primes = args
-    L = terms[0][1]
-    return sum(
-        count * sum(mu * (gcd(g, M) + 1) for mu, M in terms)
-        for g, count in gcd_classes(primes, s, L)
-    )
-
-
 def empirical_mean(
     r: int,
     s: int,
@@ -154,12 +137,15 @@ def empirical_mean(
     """Exact prime sweep of the period-r count over GF(p**s) for p <= t_max.
 
     The per-prime count is sum(mu * (gcd(p**s - 1, M) + 1)) over the
-    Moebius terms (mu, M = n**k - 1) of r; primes are counted per class
-    of gcd(p**s - 1, n**r - 1) and each class is evaluated once (see
-    _block_total).  The prime range is split into blocks whose integer
-    subtotals are folded in index order, which makes the result
-    identical for any worker count; at most min(workers, number of
-    blocks) worker processes are started.
+    Moebius terms (mu, M = n**k - 1) of r.  Every M divides L = n**r - 1,
+    the first term's, so gcd(p**s - 1, M) = gcd(g, M) with
+    g = gcd(p**s - 1, L).  The prime range is split into blocks, and
+    gcd_classes counts each block's primes per class g by lookup tables
+    built once per L from its factorization.  Each distinct class is
+    then evaluated once per sweep, in Python ints, and the blocks are
+    folded in index order, which makes the result identical for any
+    worker count; at most min(workers, number of blocks) worker
+    processes are started.
     """
     _check_rsn(r, s, n)
     if not 2 <= t_max <= SIEVE_CAP:
@@ -182,17 +168,21 @@ def empirical_mean(
     cut_set.discard(0)
     cuts = sorted(cut_set)
     blocks = list(zip([0] + cuts[:-1], cuts))
-    args = [(s, terms, primes[lo:hi]) for lo, hi in blocks]
-    if workers > 1 and len(args) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(args))) as pool:
-            subtotals = list(pool.map(_block_total, args))
+    args = ([primes[lo:hi] for lo, hi in blocks], repeat(s), repeat(terms[0][1]))
+    if workers > 1 and len(blocks) > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
+            classes = list(pool.map(gcd_classes, *args))
     else:
-        subtotals = [_block_total(a) for a in args]
+        classes = map(gcd_classes, *args)  # one block's classes at a time
 
+    value = {}  # class g -> per-prime count of its primes
     cum_at = {}
     cum = 0
-    for (_, hi), sub in zip(blocks, subtotals):
-        cum += sub
+    for (_, hi), block in zip(blocks, classes):
+        for g, count in block:
+            if g not in value:
+                value[g] = sum(mu * (gcd(g, M) + 1) for mu, M in terms)
+            cum += count * value[g]
         cum_at[hi] = cum
     out = []
     for cp, b in zip(cps, bounds):

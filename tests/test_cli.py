@@ -239,11 +239,13 @@ REPORT_DIGESTS = [
     ("analyze --q 19 --n 2 --brute", 0, "6b99a64ff786fc8edcb730f1bc824e74"),
     ("analyze --q 5 --n 3 --a 3 --brute", 0, "50779f445e3767f60082c211308a23ec"),
     ("analyze --q 729 --n 4 --brute", 0, "7b367571ca2a644ae69c0a044ae90bb0"),
+    ("analyze --q 729 --n 4 --a 5 --brute", 0, "dd2d0f0e9464443636875694c5663929"),
     ("analyze --q 65536 --n 65536 --brute", 0, "98f076dfb46d6921d67386a8b8a9ca7b"),
     ("analyze --q 12 --n 2", 2, "454b62dfad4d7b96c304ab8eccbc2f6f"),
     ("graph --q 7 --n 2", 0, "67f7ba3e7c76b48f196a010edf8c690e"),
     ("graph --q 7 --n 2 --format dot", 0, "81886c64d809a246a21e6acf89ec984c"),
     ("graph --q 9 --n 2 --a 2", 0, "e877f2b4d545fd787822e340cf9bee49"),
+    ("graph --q 9 --n 2 --a 2 --format dot", 0, "4bf1ea87d208397777d67d26feaf73e3"),
     ("graph --q 9 --n 3 --format dot", 0, "311a029200ab4002b62b9d5bbe3d8fb9"),
     ("graph --q 729 --n 4", 0, "33342e13d0bb73666278c2a2d5557b4e"),
     ("graph --q 729 --n 4 --format dot", 0, "929a2e4bdd5f4189f491a63a268ae959"),

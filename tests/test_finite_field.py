@@ -9,10 +9,9 @@ from monodyn import finite_field
 from monodyn.errors import InputRangeError, ResourceCapError
 from monodyn.finite_field import (
     FIELD_CAP,
-    element_index,
+    digits,
     element_orders,
     from_digits,
-    index_element,
     make_field,
     mul,
     power,
@@ -22,7 +21,8 @@ from monodyn.finite_field import (
 from monodyn.function_field import irreducible_count
 from monodyn.numtheory import divisors, euler_phi, prime_powers_up_to
 
-from oracles import element_order, field_add, scalar_mul, scalar_power
+from oracles import digits as oracle_digits
+from oracles import element_order, field_add, scalar_mul, scalar_power, undigits
 
 
 SMALL_FIELDS = [(7, 1), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (13, 1)]
@@ -97,79 +97,80 @@ class TestConstruction:
 class TestArithmetic:
     def test_prime_field_mul_golden(self):
         spec = make_field(7)
-        assert mul(spec, (3,), (5,)) == (1,)
+        assert mul(spec, [3], [5]) == [1]
 
     def test_extension_mul_golden(self):
         # t * t^2 = t^3 = t + 1 in GF(8) with modulus x^3 + x + 1
         spec = make_field(2, 3)
-        t = (0, 1, 0)
-        t2 = (0, 0, 1)
-        assert mul(spec, t, t2) == (1, 1, 0)
+        assert mul(spec, [0, 1, 0], [0, 0, 1]) == [1, 1, 0]
 
     def test_power_zero_exponent(self):
         for p, s in SMALL_FIELDS:
             spec = make_field(p, s)
-            x = index_element(spec, min(2, spec.q - 1))
-            assert power(spec, x, 0) == spec.one()
+            x = digits(spec, min(2, spec.q - 1))
+            assert power(spec, x, 0) == digits(spec, 1)
 
     @given(st.sampled_from(SMALL_FIELDS), st.data())
     def test_ring_axioms(self, ps, data):
         spec = make_field(*ps)
         idx = st.integers(min_value=0, max_value=spec.q - 1)
-        x = index_element(spec, data.draw(idx))
-        y = index_element(spec, data.draw(idx))
-        z = index_element(spec, data.draw(idx))
+        x = digits(spec, data.draw(idx))
+        y = digits(spec, data.draw(idx))
+        z = digits(spec, data.draw(idx))
         assert mul(spec, x, y) == mul(spec, y, x)
         assert mul(spec, mul(spec, x, y), z) == mul(spec, x, mul(spec, y, z))
-        assert mul(spec, x, field_add(spec, y, z)) == field_add(
+        assert tuple(mul(spec, x, field_add(spec, y, z))) == field_add(
             spec, mul(spec, x, y), mul(spec, x, z)
         )
-        assert mul(spec, x, spec.one()) == x
-        assert mul(spec, x, spec.zero()) == spec.zero()
+        assert mul(spec, x, digits(spec, 1)) == x
+        assert mul(spec, x, digits(spec, 0)) == digits(spec, 0)
+        assert tuple(mul(spec, x, y)) == scalar_mul(spec, tuple(x), tuple(y))
 
     def test_fermat_exhaustive(self):
         for p, s in SMALL_FIELDS + [(2, 8), (31, 1)]:
             spec = make_field(p, s)
             for i in range(1, spec.q):
-                x = index_element(spec, i)
-                assert power(spec, x, spec.q - 1) == spec.one()
+                assert power(spec, digits(spec, i), spec.q - 1) == digits(spec, 1)
 
     def test_wilson_product_prime_fields(self):
         for p in (3, 5, 7, 11, 13, 31, 61, 97):
             spec = make_field(p)
-            acc = spec.one()
+            acc = digits(spec, 1)
             for i in range(1, p):
-                acc = mul(spec, acc, (i,))
-            assert acc == (p - 1,)
+                acc = mul(spec, acc, [i])
+            assert acc == [p - 1]
 
     @given(st.sampled_from(SMALL_FIELDS), st.data())
     def test_power_agrees_with_repeated_mul(self, ps, data):
         spec = make_field(*ps)
         i = data.draw(st.integers(min_value=0, max_value=spec.q - 1))
         k = data.draw(st.integers(min_value=0, max_value=40))
-        x = index_element(spec, i)
-        acc = spec.one()
+        x = digits(spec, i)
+        acc = digits(spec, 1)
         for _ in range(k):
             acc = mul(spec, acc, x)
         assert power(spec, x, k) == acc
+        assert tuple(acc) == scalar_power(spec, tuple(x), k)
 
 
 class TestIndexing:
     def test_zero_and_one(self):
         for p, s in SMALL_FIELDS:
             spec = make_field(p, s)
-            assert element_index(spec, spec.zero()) == 0
-            assert element_index(spec, spec.one()) == 1
+            assert digits(spec, 0) == [0] * s
+            assert digits(spec, 1) == [1] + [0] * (s - 1)
 
     def test_digit_golden(self):
         spec = make_field(3, 2)
-        assert element_index(spec, (2, 1)) == 5
+        assert digits(spec, 5) == [2, 1]
 
     def test_round_trip(self):
         for p, s in SMALL_FIELDS:
             spec = make_field(p, s)
             for i in range(spec.q):
-                assert element_index(spec, index_element(spec, i)) == i
+                x = digits(spec, i)
+                assert tuple(x) == oracle_digits(spec, i)
+                assert undigits(spec, x) == i
 
 
 class TestBatches:
@@ -179,9 +180,7 @@ class TestBatches:
             idx = np.arange(spec.q, dtype=np.int64)
             x = to_digits(spec, idx)
             assert x.shape == (s, spec.q)
-            assert [tuple(col) for col in x.T.tolist()] == [
-                index_element(spec, i) for i in range(spec.q)
-            ]
+            assert x.T.tolist() == [digits(spec, i) for i in range(spec.q)]
             assert from_digits(spec, x).tolist() == idx.tolist()
 
     def test_batch_arithmetic_matches_scalar_oracle(self):
@@ -194,14 +193,14 @@ class TestBatches:
             ys = (xs * 7 + np.arange(len(xs), dtype=np.int64)) % q
             got = from_digits(spec, mul(spec, to_digits(spec, xs), to_digits(spec, ys)))
             want = [
-                element_index(spec, scalar_mul(spec, index_element(spec, i), index_element(spec, j)))
+                undigits(spec, scalar_mul(spec, oracle_digits(spec, i), oracle_digits(spec, j)))
                 for i, j in zip(xs.tolist(), ys.tolist())
             ]
             assert got.tolist() == want, (p, s)
             for k in (0, 1, 2, 5, q - 2, q - 1, 3 * q + 1):
                 got = from_digits(spec, power(spec, to_digits(spec, np.arange(q)), k))
                 want = [
-                    element_index(spec, scalar_power(spec, index_element(spec, i), k))
+                    undigits(spec, scalar_power(spec, oracle_digits(spec, i), k))
                     for i in range(q)
                 ]
                 assert got.tolist() == want, (p, s, k)
@@ -209,9 +208,9 @@ class TestBatches:
     def test_element_times_batch(self):
         spec = make_field(3, 3)
         xs = to_digits(spec, np.arange(spec.q, dtype=np.int64))
-        a = index_element(spec, 17)
+        a = digits(spec, 17)
         want = [
-            element_index(spec, scalar_mul(spec, a, index_element(spec, i)))
+            undigits(spec, scalar_mul(spec, tuple(a), oracle_digits(spec, i)))
             for i in range(spec.q)
         ]
         assert from_digits(spec, mul(spec, a, xs)).tolist() == want
@@ -219,21 +218,28 @@ class TestBatches:
         assert from_digits(spec, mul(spec, column, xs)).tolist() == want
 
     def test_return_types(self):
+        # int rows give a list of Python ints, array rows a list of int64
+        # arrays; power(x, 1) hands back x's own rows
         spec = make_field(2, 4)
-        xs = to_digits(spec, np.arange(spec.q, dtype=np.int64))
-        x = index_element(spec, 7)
+        xs = list(to_digits(spec, np.arange(spec.q, dtype=np.int64)))
+        x = digits(spec, 7)
         for k in (0, 1, 3):
-            assert type(power(spec, x, k)) is tuple
-            assert all(type(c) is int for c in power(spec, x, k))
+            got = power(spec, x, k)
+            assert type(got) is list and len(got) == 4
+            assert all(type(c) is int for c in got)
             batch = power(spec, xs, k)
-            assert batch.shape == (4, 16) and batch.dtype == np.int64
-            assert batch is not xs
-        assert type(mul(spec, x, x)) is tuple
+            assert type(batch) is list and len(batch) == 4
+            assert all(r.dtype == np.int64 and r.shape == (16,) for r in batch)
+        assert power(spec, x, 1) is x and power(spec, xs, 1) is xs
+        assert all(type(c) is int for c in mul(spec, x, x))
+        scaled = mul(spec, x, xs)
+        assert type(scaled) is list
+        assert all(r.dtype == np.int64 and r.shape == (16,) for r in scaled)
 
     def test_negative_exponent_rejected(self):
         spec = make_field(2, 3)
         with pytest.raises(InputRangeError):
-            power(spec, spec.one(), -1)
+            power(spec, digits(spec, 1), -1)
         with pytest.raises(InputRangeError):
             power(spec, to_digits(spec, np.arange(8, dtype=np.int64)), -1)
 
@@ -243,13 +249,13 @@ class TestOrders:
         spec = make_field(7)
         assert element_order(spec, (3,)) == 6
         assert element_order(spec, (2,)) == 3
-        assert element_order(spec, spec.one()) == 1
+        assert element_order(spec, oracle_digits(spec, 1)) == 1
         assert tuple(element_orders(spec)) == (0, 1, 3, 6, 3, 6, 2)
 
     def test_zero_rejected(self):
         spec = make_field(7)
         with pytest.raises(ValueError):
-            element_order(spec, spec.zero())
+            element_order(spec, oracle_digits(spec, 0))
         assert element_orders(spec)[0] == 0
 
     def test_order_counts_are_phi(self):
@@ -267,7 +273,7 @@ class TestOrders:
             spec = make_field(p, s)
             table = element_orders(spec)
             assert len(table) == q and table[0] == 0
-            want = [element_order(spec, index_element(spec, i)) for i in range(1, q)]
+            want = [element_order(spec, oracle_digits(spec, i)) for i in range(1, q)]
             assert list(table[1:]) == want, (p, s)
 
     def test_chunk_boundaries(self, monkeypatch):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from monodyn import finite_field, graph_engine, monomial
 from monodyn.errors import InputRangeError, InvariantViolation
-from monodyn.finite_field import index_element, make_field
+from monodyn.finite_field import digits, make_field
 from monodyn.graph_engine import (
     build,
     check_order_characterization,
@@ -30,12 +30,15 @@ from monodyn.numtheory import prime_powers_up_to
 from monodyn.cli import main
 from monodyn.reporting import envelope, render_json
 
+from oracles import digits as oracle_digits
 from oracles import (
     exact_periods_by_iteration,
     jsonable,
     scalar_build,
     scalar_order_check,
+    scalar_power,
     scalar_successor,
+    undigits,
 )
 
 
@@ -74,11 +77,11 @@ class TestSuccessor:
         sys = system(q, n, a_index)
         spec = sys.field
         succ = successor_array(sys)
-        from monodyn.finite_field import element_index, mul, power
+        from monodyn.finite_field import mul, power
 
         i = data.draw(st.integers(min_value=0, max_value=q - 1))
-        y = mul(spec, sys.a, power(spec, index_element(spec, i), n))
-        assert succ[i] == element_index(spec, y)
+        y = mul(spec, digits(spec, a_index), power(spec, digits(spec, i), n))
+        assert succ[i] == undigits(spec, y)
 
     def test_batched_matches_scalar_oracle(self):
         for q, p, s in prime_powers_up_to(1024):
@@ -267,34 +270,38 @@ class TestConnectivity:
 class TestPowerMembership:
     def test_squares_mod_5(self):
         spec = make_field(5)
-        squares = {
-            i for i in range(1, 5) if is_mth_power(spec, index_element(spec, i), 2)
-        }
+        squares = {i for i in range(1, 5) if is_mth_power(spec, i, 2)}
         assert squares == {1, 4}
 
     def test_everything_is_a_first_power(self):
         spec = make_field(3, 2)
         for i in range(1, 9):
-            assert is_mth_power(spec, index_element(spec, i), 1)
+            assert is_mth_power(spec, i, 1)
 
     def test_membership_matches_enumeration(self):
-        from monodyn.finite_field import power
         from monodyn.numtheory import prime_power_base
 
         for q in (7, 8, 9, 11, 13, 16, 25):
             spec = make_field(*prime_power_base(q))
             for m in (2, 3, 4, 5):
                 image = {
-                    power(spec, index_element(spec, i), m) for i in range(1, q)
+                    undigits(spec, scalar_power(spec, oracle_digits(spec, i), m))
+                    for i in range(1, q)
                 }
                 for i in range(1, q):
-                    x = index_element(spec, i)
-                    assert is_mth_power(spec, x, m) == (x in image), (q, m, i)
+                    assert is_mth_power(spec, i, m) == (i in image), (q, m, i)
 
     def test_zero_rejected(self):
         spec = make_field(7)
         with pytest.raises(InputRangeError):
-            is_mth_power(spec, spec.zero(), 2)
+            is_mth_power(spec, 0, 2)
+
+    def test_index_outside_the_units_rejected(self):
+        # digits would wrap q and -1 onto elements silently
+        spec = make_field(3, 2)
+        for i in (0, spec.q, -1):
+            with pytest.raises(InputRangeError):
+                is_mth_power(spec, i, 2)
 
     def test_fixed_point_criterion_matches_successor_scan(self):
         for q in (5, 7, 9, 11, 13, 16):
