@@ -195,10 +195,16 @@ def _cmd_ffield(args) -> tuple:
     q = args.q
     if args.format == "csv" and not args.oscillate:
         raise InputRangeError("--format csv is written only by --oscillate")
+    mode = "density" if args.density else "dmean" if args.dmean else "oscillate"
+    reads = {"density": ("r",), "dmean": ("n", "r"), "oscillate": ("r", "t")}[mode]
+    for name in ("n", "t"):
+        if name not in reads and getattr(args, name) is not None:
+            raise InputRangeError(f"--{name} is not read by --{mode}")
+    if any(getattr(args, name) is None for name in reads):
+        needs = " and ".join(f"--{name}" for name in reads)
+        raise InputRangeError(f"--{mode} requires {needs}")
     if args.density:
-        if args.r is None:
-            raise InputRangeError("--density requires --r")
-        config = {"q": q, "r": args.r, "mode": "density"}
+        config = {"q": q, "r": args.r, "mode": mode}
         result = {
             "q": q,
             "r": args.r,
@@ -207,25 +213,22 @@ def _cmd_ffield(args) -> tuple:
         }
         return config, result, None
     if args.dmean:
-        if args.n is None or args.r is None:
-            raise InputRangeError("--dmean requires --n and --r")
-        config = {"q": q, "n": args.n, "r": args.r, "mode": "dmean"}
+        config = {"q": q, "n": args.n, "r": args.r, "mode": mode}
+        d = function_field.dirichlet_D_K(q, args.n, args.r)
         result = {
             "q": q,
             "n": args.n,
             "r": args.r,
-            "dirichlet_D": function_field.dirichlet_D_K(q, args.n, args.r),
-            "dirichlet_C": function_field.dirichlet_C_K(q, args.n, args.r),
+            "dirichlet_D": d,
+            "dirichlet_C": d / args.r,
         }
         return config, result, None
-    if args.r is None or args.t is None:
-        raise InputRangeError("--oscillate requires --r and --t")
     rep = function_field.oscillation_experiment(q, args.r, args.t)
     config = {
         "q": q,
         "r": args.r,
         "t": args.t,
-        "mode": "oscillate",
+        "mode": mode,
         "format": args.format,
     }
     return config, rep, ff_csv if args.format == "csv" else None

@@ -90,7 +90,7 @@ def _is_irreducible(low: tuple[int, ...], p: int, s: int) -> bool:
     # Both conditions are thus powers in that ring.
     ring = FieldSpec(p, s, p**s, low + (1,))
     x = [0, 1] + [0] * (s - 2)
-    proper = {s // r for r, _ in factorize(s).factors}
+    proper = {s // r for r, _ in factorize(s)}
     diffs = []  # x**(p**k) - x for each k in proper
     t = x
     for k in range(1, s + 1):
@@ -188,7 +188,7 @@ def element_orders(spec: FieldSpec) -> np.ndarray:
     table holds about 4M entries.
     """
     q = spec.q
-    factors = factorize(q - 1).factors
+    factors = factorize(q - 1)
     out = np.zeros(q, dtype=np.int64)
     lo = 1
     for x in batches(spec, lo):

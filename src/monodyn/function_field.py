@@ -69,10 +69,6 @@ def _check_str_digits(q: int, e: int, what: str) -> None:
         )
 
 
-def _order_of_q(q: int, r: int) -> int:
-    return 1 if r == 1 else multiplicative_order(q % r, r)
-
-
 def _checked_order(q: int, r: int) -> int:
     """ord_r(q), once q is a prime power, r >= 1 and gcd(r, q) = 1."""
     check_prime_power(q)
@@ -80,7 +76,7 @@ def _checked_order(q: int, r: int) -> int:
         raise InputRangeError(f"r must be >= 1, got {r}")
     if gcd(r, q) > 1:
         raise InputRangeError(f"r = {r} must be coprime to q = {q}")
-    return _order_of_q(q, r)
+    return multiplicative_order(q, r)
 
 
 def dirichlet_density_S(q: int, r: int) -> Fraction:
@@ -171,7 +167,7 @@ def dirichlet_mean_solutions(q: int, m: int) -> Fraction:
         raise InputRangeError(f"m must be >= 1, got {m}")
     m_star = coprime_part(m, q)
     return sum(
-        (Fraction(euler_phi(k), _order_of_q(q, k)) for k in divisors(m_star)),
+        (Fraction(euler_phi(k), multiplicative_order(q, k)) for k in divisors(m_star)),
         Fraction(0),
     )
 
@@ -187,8 +183,3 @@ def dirichlet_D_K(q: int, n: int, r: int) -> Fraction:
         mu * (dirichlet_mean_solutions(q, pow_minus_one(n, k)) + 1)
         for mu, k in mobius_terms(r)
     )
-
-
-def dirichlet_C_K(q: int, n: int, r: int) -> Fraction:
-    """Dirichlet mean of the r-cycle count: D_K / r."""
-    return dirichlet_D_K(q, n, r) / r

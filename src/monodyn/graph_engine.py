@@ -282,7 +282,7 @@ class OrderCheckReport:
 
 
 def check_order_characterization(
-    sys: DynSystem, st: OrbitStructure | None = None
+    sys: DynSystem, st: OrbitStructure
 ) -> OrderCheckReport:
     """Check, for every nonzero point, the order description of the orbit:
     periodic iff the element order divides q*(n); the cycle length is
@@ -297,8 +297,6 @@ def check_order_characterization(
     spec = sys.field
     if sys.a_index != 1:
         raise InputRangeError("order characterization requires coefficient 1")
-    if st is None:
-        st = build(sys)
     q, n = spec.q, sys.n
     qs = monomial.q_star(q, n)
     all_orders = element_orders(spec)
@@ -314,7 +312,7 @@ def check_order_characterization(
     present = np.bincount(ords)
     table = np.zeros(len(present), dtype=np.int64)  # order -> cycle length
     for o in np.flatnonzero(present).tolist():
-        table[o] = 1 if o == 1 else multiplicative_order(n % o, o)
+        table[o] = multiplicative_order(n, o)
     want = np.zeros(q - 1, dtype=np.int64)
     want[checked] = table[ords]
     wrong_length = checked & (got != want)
@@ -350,7 +348,7 @@ class DichotomyReport:
 
 
 def dichotomy_report(
-    sys: DynSystem, st: OrbitStructure | None = None, strict: bool = True
+    sys: DynSystem, st: OrbitStructure, strict: bool = True
 ) -> DichotomyReport:
     """Classify the system by whether a is an (n-1)-th power and check
     what each side guarantees: the closed-form profile transfers
@@ -361,8 +359,6 @@ def dichotomy_report(
     callers that merely want the verdict pass strict=False.
     """
     spec = sys.field
-    if st is None:
-        st = build(sys)
     q, n = spec.q, sys.n
     in_image = is_mth_power(spec, sys.a_index, n - 1)
     expected = monomial.q_star(q, n) + 1

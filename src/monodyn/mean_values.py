@@ -164,8 +164,6 @@ def empirical_mean(
     bounds = primes.searchsorted(cps, side="right").tolist()
     cut_set = set(bounds)
     cut_set.update(range(20000, len(primes), 20000))
-    cut_set.add(len(primes))
-    cut_set.discard(0)
     cuts = sorted(cut_set)
     blocks = list(zip([0] + cuts[:-1], cuts))
     args = ([primes[lo:hi] for lo, hi in blocks], repeat(s), repeat(terms[0][1]))

@@ -60,10 +60,7 @@ def q_star(q: int, n: int) -> int:
 
 def r_hat(q: int, n: int) -> int:
     """Multiplicative order of n modulo q*(n): the maximum cycle length."""
-    qs = q_star(q, n)
-    if qs == 1:
-        return 1
-    return multiplicative_order(n % qs, qs)
+    return multiplicative_order(n, q_star(q, n))
 
 
 def periodic_count(q: int, n: int, r: int) -> int:
@@ -98,7 +95,7 @@ def has_r_periodic(q: int, n: int, r: int) -> bool:
     if r < 2:
         raise InputRangeError("r must be >= 2; a fixed point (the origin) always exists")
     mr = m_j(q, n, r)
-    return all(m_j(q, n, r // p) != mr for p, _ in factorize(r).factors)
+    return all(m_j(q, n, r // p) != mr for p, _ in factorize(r))
 
 
 def is_fixed_point_system(q: int, n: int) -> bool:

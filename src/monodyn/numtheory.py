@@ -1,7 +1,7 @@
 """Exact integer number theory shared by the other modules.
 
 Everything here is a pure function of its arguments, so concurrent
-callers are safe.  Factorizations are cached; sweeps hit the same
+callers are safe.  `factorize` is cached; sweeps hit the same
 moduli over and over and the cache turns those calls into lookups.
 Inputs are held to a 63-bit cap, which keeps the contracts portable;
 Python integers never overflow, so the cap is a scale limit, not a
@@ -11,7 +11,6 @@ safety net.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -31,14 +30,6 @@ _TABLE_CAP = 2**16
 
 # Deterministic Miller-Rabin witness set, valid for every modulus < 2**64.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """value == prod(p**e for p, e in factors), primes strictly increasing."""
-
-    value: int
-    factors: tuple[tuple[int, int], ...]
 
 
 def _check_positive(m: int, name: str = "m") -> None:
@@ -101,8 +92,11 @@ def _brent_rho(n: int) -> int:
 
 
 @lru_cache(maxsize=65536)
-def factorize(m: int) -> Factorization:
-    """Prime factorization: trial division, then rho on hard cofactors."""
+def factorize(m: int) -> tuple[tuple[int, int], ...]:
+    """The (p, e) pairs with m == prod(p**e), p increasing.
+
+    Trial division, then rho on hard cofactors.
+    """
     _check_positive(m)
     found: dict[int, int] = {}
     v = m
@@ -130,13 +124,13 @@ def factorize(m: int) -> Factorization:
                 f = _brent_rho(w)
                 pending.append(f)
                 pending.append(w // f)
-    return Factorization(m, tuple(sorted(found.items())))
+    return tuple(sorted(found.items()))
 
 
 def divisors(m: int) -> list[int]:
     """All positive divisors of m in increasing order."""
     divs = [1]
-    for p, e in factorize(m).factors:
+    for p, e in factorize(m):
         divs = [d * p**k for d in divs for k in range(e + 1)]
     divs.sort()
     return divs
@@ -152,7 +146,7 @@ def mobius_terms(r: int) -> tuple[tuple[int, int], ...]:
     with mu(d) = 0 contribute nothing and are left out.
     """
     terms = [(1, 1)]
-    for p, _ in factorize(r).factors:
+    for p, _ in factorize(r):
         terms += [(-mu, d * p) for mu, d in terms]
     return tuple((mu, r // d) for mu, d in sorted(terms, key=lambda t: t[1]))
 
@@ -160,7 +154,7 @@ def mobius_terms(r: int) -> tuple[tuple[int, int], ...]:
 def euler_phi(m: int) -> int:
     """Count of residues mod m coprime to m."""
     out = 1
-    for p, e in factorize(m).factors:
+    for p, e in factorize(m):
         out *= (p - 1) * p ** (e - 1)
     return out
 
@@ -168,7 +162,7 @@ def euler_phi(m: int) -> int:
 def tau(m: int) -> int:
     """Number of divisors of m."""
     out = 1
-    for _, e in factorize(m).factors:
+    for _, e in factorize(m):
         out *= e + 1
     return out
 
@@ -186,7 +180,7 @@ def multiplicative_order(a: int, m: int) -> int:
     if math.gcd(a, m) != 1:
         raise InputRangeError(f"order undefined: gcd({a}, {m}) != 1")
     o = euler_phi(m)
-    for p, _ in factorize(o).factors:
+    for p, _ in factorize(o):
         while o % p == 0 and pow(a, o // p, m) == 1:
             o //= p
     return o
@@ -204,7 +198,7 @@ def v_s(s: int, l: int) -> int:
     _check_positive(s, "s")
     _check_positive(l, "l")
     count = 1
-    for p, e in factorize(l).factors:
+    for p, e in factorize(l):
         if p == 2:
             if e == 1:
                 continue
@@ -301,7 +295,7 @@ def _gcd_tables(m: int) -> tuple[tuple, tuple]:
     """
     tables: list[np.ndarray] = []
     big = []
-    for l, e in reversed(factorize(m).factors):
+    for l, e in reversed(factorize(m)):
         le = l**e
         if le > _TABLE_CAP:
             big.append((l, le))
@@ -346,24 +340,14 @@ def gcd_classes(values: np.ndarray, s: int, m: int) -> list[tuple[int, int]]:
     return list(zip(classes.tolist(), counts.tolist()))
 
 
-def prime_power_base(q: int) -> tuple[int, int] | None:
-    """(p, s) with q = p**s, or None when q >= 2 is not a prime power."""
-    if q < 2:
-        return None
-    f = factorize(q).factors
-    if len(f) != 1:
-        return None
-    return f[0]
-
-
 def check_prime_power(q: int) -> tuple[int, int]:
     """(p, s) with q = p**s; InputRangeError naming q when there is none."""
     if q > MAX_INPUT:
         raise InputRangeError(f"q must be at most 2**63 - 1, got {q}")
-    pp = prime_power_base(q)
-    if pp is None:
+    f = factorize(q) if q >= 2 else ()
+    if len(f) != 1:
         raise InputRangeError(f"q must be a prime power >= 2, got {q}")
-    return pp
+    return f[0]
 
 
 def prime_powers_up_to(limit: int) -> list[tuple[int, int, int]]:

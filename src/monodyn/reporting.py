@@ -6,14 +6,14 @@ value cannot slip into a report.  Envelopes carry the schema tag, the
 command, a seed of 0 (no report draws at random), and a hash of the
 configuration so identical runs produce byte-identical files.
 
-`_shallow` is the one statement of how a result object maps to JSON,
-one level at a time, and `render_json` alone applies it, as it writes.
-It writes the two-space-indent layout of `json.dumps(..., indent=2)`
-itself and formats an integer numpy array, or a list or tuple of exact
-ints, as one join of `str` over its items, so the per-node arrays of a
-graph report are not visited item by item.  The tests hold it, byte for
-byte, to the standard library's encoder run on an independent
-recursive mapping in `tests/oracles.py`.
+`_render` states how a result object maps to JSON and applies that
+mapping as it writes, one node at a time, with `_render_dict` for the
+key rules.  It writes the two-space-indent layout of
+`json.dumps(..., indent=2)` itself and formats an integer numpy array,
+or a list or tuple of exact ints, as one join of `str` over its items,
+so the per-node arrays of a graph report are not visited item by item.
+The tests hold it, byte for byte, to the standard library's encoder
+run on an independent recursive mapping in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -35,48 +35,6 @@ SCHEMA = "monodyn/1"
 JOIN_BLOCK = 2**16
 
 
-def _shallow(obj):
-    """obj mapped one level toward JSON; its items are left as they are.
-
-    Exact ints, strings, bools and None are returned as they are, and so
-    are lists, tuples and one-dimensional integer arrays (other integer
-    arrays become nested lists).  A Fraction becomes {"num", "den"}, a
-    dataclass the dict of its fields, and a dict one keyed by str(k),
-    in numeric order when the keys are all ints (bools among them sort
-    as 0 and 1).  Floats, arrays that do not hold integers, and any
-    other type raise TypeError: exact pipelines have no business
-    producing them.  The container checks come first because nearly
-    every node of a report is one.
-    """
-    kind = type(obj)
-    if kind is int or kind is list or kind is tuple:
-        return obj
-    if kind is dict:
-        if all(type(k) is str for k in obj):
-            return obj
-        keys = sorted(obj) if all(isinstance(k, int) for k in obj) else obj
-        return {str(k): obj[k] for k in keys}
-    if obj is None or isinstance(obj, (bool, str)):
-        return obj
-    if isinstance(obj, float):
-        raise TypeError(f"refusing to serialize float {obj!r}")
-    if isinstance(obj, int):
-        return int(obj)
-    if isinstance(obj, Fraction):
-        return {"num": obj.numerator, "den": obj.denominator}
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return _shallow(dict(obj))
-    if isinstance(obj, (list, tuple)):
-        return list(obj)
-    if isinstance(obj, np.ndarray):
-        if obj.dtype.kind not in "iu":
-            raise TypeError(f"refusing to serialize {obj.dtype} array")
-        return obj if obj.ndim == 1 else obj.tolist()
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 def render_json(doc) -> str:
     """doc as JSON text with two-space indents and a final newline."""
     out: list[str] = []
@@ -86,30 +44,69 @@ def render_json(doc) -> str:
 
 
 def _render(obj, pad: str, put) -> None:
-    """Append the text of obj to put; pad is the newline and indent of its line."""
-    obj = _shallow(obj)
+    """Append obj's JSON text to put; pad is the newline and indent of its line.
+
+    Exact ints, strings, bools and None are written as they are, and
+    lists, tuples and one-dimensional integer arrays as lists (other
+    integer arrays as nested lists).  A Fraction is written as
+    {"num", "den"}, a dataclass as the dict of its fields, and a dict as
+    `_render_dict` says.  Floats, arrays that do not hold integers, and
+    any other type raise TypeError: exact pipelines have no business
+    producing them.  The container checks come first because nearly
+    every node of a report is one.
+    """
     kind = type(obj)
     if kind is int:
         put(str(obj))
     elif kind is dict:
-        if not obj:
-            put("{}")
-            return
-        inner = pad + "  "
-        opening = "{" + inner
-        for k, v in obj.items():
-            head = opening + encode_basestring_ascii(k) + ": "
-            opening = "," + inner
-            if type(v) is int:
-                put(head + str(v))
-            else:
-                put(head)
-                _render(v, inner, put)
-        put(pad + "}")
-    elif kind is list or kind is tuple or isinstance(obj, np.ndarray):
+        _render_dict(obj, pad, put)
+    elif kind is list or kind is tuple:
         _render_list(obj, pad, put)
-    else:  # a string, a bool or None
+    elif obj is None or isinstance(obj, (bool, str)):
         put(json.dumps(obj))
+    elif isinstance(obj, float):
+        raise TypeError(f"refusing to serialize float {obj!r}")
+    elif isinstance(obj, int):
+        put(str(int(obj)))
+    elif isinstance(obj, Fraction):
+        _render_dict({"num": obj.numerator, "den": obj.denominator}, pad, put)
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        fields = dataclasses.fields(obj)
+        _render_dict({f.name: getattr(obj, f.name) for f in fields}, pad, put)
+    elif isinstance(obj, dict):
+        _render_dict(dict(obj), pad, put)
+    elif isinstance(obj, (list, tuple)):
+        _render_list(list(obj), pad, put)
+    elif isinstance(obj, np.ndarray):
+        if obj.dtype.kind not in "iu":
+            raise TypeError(f"refusing to serialize {obj.dtype} array")
+        _render_list(obj if obj.ndim == 1 else obj.tolist(), pad, put)
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _render_dict(obj: dict, pad: str, put) -> None:
+    """A dict keyed by str(k), in numeric order when the keys are all ints.
+
+    Bools among int keys sort as 0 and 1; a dict of str keys keeps its order.
+    """
+    if not all(type(k) is str for k in obj):
+        keys = sorted(obj) if all(isinstance(k, int) for k in obj) else obj
+        obj = {str(k): obj[k] for k in keys}
+    if not obj:
+        put("{}")
+        return
+    inner = pad + "  "
+    opening = "{" + inner
+    for k, v in obj.items():
+        head = opening + encode_basestring_ascii(k) + ": "
+        opening = "," + inner
+        if type(v) is int:
+            put(head + str(v))
+        else:
+            put(head)
+            _render(v, inner, put)
+    put(pad + "}")
 
 
 def _render_list(seq, pad: str, put) -> None:

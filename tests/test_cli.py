@@ -494,6 +494,20 @@ class TestFfield:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "--format csv" in err
 
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            ("--q 3 --density --r 4 --t 9 --n 5", "--n is not read by --density"),
+            ("--q 3 --density --r 4 --t 9", "--t is not read by --density"),
+            ("--q 3 --dmean --r 4 --n 2 --t 9", "--t is not read by --dmean"),
+            ("--q 2 --oscillate --r 3 --t 40 --n 7", "--n is not read by --oscillate"),
+        ],
+        ids=["density-n", "density-t", "dmean-t", "oscillate-n"],
+    )
+    def test_option_the_mode_does_not_read_refused(self, capsys, argv, line):
+        code, out, err = run(capsys, "ffield", *argv.split())
+        assert (code, out, err) == (2, "", f"error: {line}\n")
+
 
 #: `monodyn verify --scope quick --seed 7` with each [x.xxs] masked.
 QUICK_VERIFY = """\

@@ -4,7 +4,6 @@ import pytest
 
 from monodyn.errors import InputRangeError, ResourceCapError
 from monodyn.function_field import (
-    dirichlet_C_K,
     dirichlet_D_K,
     dirichlet_density_S,
     dirichlet_mean_solutions,
@@ -211,12 +210,6 @@ class TestDirichletMeans:
         for q in Q_RANGE:
             for n in range(2, 8):
                 assert dirichlet_D_K(q, n, 1) >= 1, (q, n)
-
-    def test_cycle_mean_is_point_mean_over_r(self):
-        for q in (2, 3, 5):
-            for n in (2, 3):
-                for r in range(1, 7):
-                    assert dirichlet_C_K(q, n, r) == dirichlet_D_K(q, n, r) / r
 
     def test_input_errors(self):
         with pytest.raises(InputRangeError):

@@ -26,7 +26,7 @@ from monodyn.graph_engine import (
     star_strongly_connected,
     successor_array,
 )
-from monodyn.numtheory import prime_powers_up_to
+from monodyn.numtheory import check_prime_power, prime_powers_up_to
 from monodyn.cli import main
 from monodyn.reporting import envelope, render_json
 
@@ -43,9 +43,7 @@ from oracles import (
 
 
 def system(q: int, n: int, a_index: int = 1):
-    from monodyn.numtheory import prime_power_base
-
-    p, s = prime_power_base(q)
+    p, s = check_prime_power(q)
     return monomial_system(make_field(p, s), n, a_index)
 
 
@@ -279,10 +277,8 @@ class TestPowerMembership:
             assert is_mth_power(spec, i, 1)
 
     def test_membership_matches_enumeration(self):
-        from monodyn.numtheory import prime_power_base
-
         for q in (7, 8, 9, 11, 13, 16, 25):
-            spec = make_field(*prime_power_base(q))
+            spec = make_field(*check_prime_power(q))
             for m in (2, 3, 4, 5):
                 image = {
                     undigits(spec, scalar_power(spec, oracle_digits(spec, i), m))
@@ -317,7 +313,8 @@ class TestOrderCharacterization:
     def test_passes_on_unit_coefficient_sweep(self):
         for q, _, _ in prime_powers_up_to(128):
             for n in (2, 3, 5, 11):
-                rep = check_order_characterization(system(q, n))
+                sys = system(q, n)
+                rep = check_order_characterization(sys, build(sys))
                 assert rep.passed, (q, n, rep.failure)
                 assert rep.checked == q - 1
 
@@ -391,20 +388,23 @@ class TestOrderCharacterization:
 
     def test_refuses_other_coefficients(self):
         with pytest.raises(InputRangeError):
-            check_order_characterization(system(7, 2, a_index=3))
+            sys = system(7, 2, a_index=3)
+            check_order_characterization(sys, build(sys))
 
 
 class TestDichotomy:
     def test_power_side_golden(self):
         # gcd(3, 4) = 1, so every unit mod 5 is a cube; a=2 qualifies
-        rep = dichotomy_report(system(5, 4, a_index=2))
+        sys = system(5, 4, a_index=2)
+        rep = dichotomy_report(sys, build(sys))
         assert rep.has_nonzero_fixed is True
         assert rep.formula_match is True
         assert rep.totals_match is True
 
     def test_nonpower_side_golden(self):
         # a=3 in GF(5), n=3: 3 is not a square mod 5, no nonzero fixed point
-        rep = dichotomy_report(system(5, 3, a_index=3), strict=False)
+        sys = system(5, 3, a_index=3)
+        rep = dichotomy_report(sys, build(sys), strict=False)
         assert rep.has_nonzero_fixed is False
         assert rep.formula_match is None
         assert rep.totals_match is True
@@ -415,7 +415,8 @@ class TestDichotomy:
         for q in (7, 9, 11, 13, 16, 25, 27):
             for n in (2, 3, 4, 5):
                 for a in range(1, q):
-                    rep = dichotomy_report(system(q, n, a))
+                    sys = system(q, n, a)
+                    rep = dichotomy_report(sys, build(sys))
                     assert rep.totals_match
                     assert rep.expected_periodic == monomial.q_star(q, n) + 1
 

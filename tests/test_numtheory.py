@@ -10,6 +10,7 @@ from monodyn.errors import InputRangeError, ResourceCapError
 from monodyn.numtheory import (
     MAX_INPUT,
     SIEVE_CAP,
+    check_prime_power,
     coprime_part,
     divisors,
     euler_phi,
@@ -21,7 +22,6 @@ from monodyn.numtheory import (
     multiplicative_order,
     pow_minus_one,
     prime_array,
-    prime_power_base,
     prime_powers_up_to,
     primes_up_to,
     tau,
@@ -48,37 +48,37 @@ def mu(m: int) -> int:
 
 class TestFactorize:
     def test_one_has_empty_factorization(self):
-        assert factorize(1).factors == ()
+        assert factorize(1) == ()
 
     def test_small_goldens(self):
-        assert factorize(6).factors == ((2, 1), (3, 1))
-        assert factorize(360).factors == ((2, 3), (3, 2), (5, 1))
+        assert factorize(6) == ((2, 1), (3, 1))
+        assert factorize(360) == ((2, 3), (3, 2), (5, 1))
 
     def test_mersenne_prime_is_a_single_factor(self):
         m = 2**61 - 1
-        assert factorize(m).factors == ((m, 1),)
+        assert factorize(m) == ((m, 1),)
 
     def test_max_input_value(self):
         f = factorize(MAX_INPUT)  # 2^63 - 1, verified by direct multiplication
-        assert f.factors == (
+        assert f == (
             (7, 2), (73, 1), (127, 1), (337, 1), (92737, 1), (649657, 1),
         )
 
     def test_primorial_splits_completely(self):
         m = 614889782588491410  # product of the first 15 primes
         f = factorize(m)
-        assert [p for p, _ in f.factors] == naive_primes(47)
-        assert all(e == 1 for _, e in f.factors)
+        assert [p for p, _ in f] == naive_primes(47)
+        assert all(e == 1 for _, e in f)
 
     @given(pos)
     def test_matches_trial_division(self, m):
-        assert dict(factorize(m).factors) == naive_factor(m)
+        assert dict(factorize(m)) == naive_factor(m)
 
     @given(st.integers(min_value=2, max_value=10**6))
     def test_reconstructs_value_with_prime_parts(self, m):
         f = factorize(m)
         prod = 1
-        for p, e in f.factors:
+        for p, e in f:
             assert is_prime(p)
             prod *= p**e
         assert prod == m
@@ -313,11 +313,12 @@ def assert_classes_match(values, s, m):
 
 class TestPrimePowers:
     def test_base_detection(self):
-        assert prime_power_base(8) == (2, 3)
-        assert prime_power_base(9) == (3, 2)
-        assert prime_power_base(7) == (7, 1)
-        assert prime_power_base(12) is None
-        assert prime_power_base(1) is None
+        assert check_prime_power(8) == (2, 3)
+        assert check_prime_power(9) == (3, 2)
+        assert check_prime_power(7) == (7, 1)
+        for q in (12, 1, 0, -7):
+            with pytest.raises(InputRangeError, match=f"got {q}$"):
+                check_prime_power(q)
 
     def test_listing(self):
         got = [q for q, _, _ in prime_powers_up_to(30)]
