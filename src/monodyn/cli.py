@@ -224,13 +224,7 @@ def _cmd_ffield(args) -> tuple:
         }
         return config, result, None
     rep = function_field.oscillation_experiment(q, args.r, args.t)
-    config = {
-        "q": q,
-        "r": args.r,
-        "t": args.t,
-        "mode": mode,
-        "format": args.format,
-    }
+    config = {"q": q, "r": args.r, "t": args.t, "mode": mode, "format": args.format}
     return config, rep, ff_csv if args.format == "csv" else None
 
 

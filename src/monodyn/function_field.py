@@ -7,8 +7,10 @@ on d modulo the order of q mod r.  Dirichlet density is therefore
 exactly 1 / ord_r(q), while natural density fails to exist: the
 counting ratio oscillates between two explicit subsequence limits,
 approaching each along its subsequence, though not monotonically at
-small t.  A count that could not be written out (q**d past Python's
-int-to-str limit) is refused with ResourceCapError before it is formed.
+small t.  The counts of every degree up to a bound come from one exact
+divisor-sieve pass, `irreducible_counts`.  A count that could not be
+written out (q**d past Python's int-to-str limit) is refused with
+ResourceCapError before any is formed.
 """
 
 from __future__ import annotations
@@ -30,35 +32,47 @@ from .numtheory import (
 )
 
 
-def irreducible_count(q: int, d: int) -> int:
-    """Number of monic irreducible polynomials of degree d over GF(q)."""
-    check_prime_power(q)
-    if d < 1:
-        raise InputRangeError(f"degree must be >= 1, got {d}")
-    _check_str_digits(q, d, f"degree {d} gives a count")
-    total = sum(mu * q**k for mu, k in mobius_terms(d))
-    if total % d:
-        raise InvariantViolation(f"necklace sum not divisible by {d}")
-    return total // d
+def irreducible_counts(q: int, t: int) -> list[int]:
+    """Numbers I(1), ..., I(t) of monic irreducible polynomials over GF(q).
 
-
-def pi_K(q: int, t: int) -> int:
-    """Number of monic irreducible polynomials of degree at most t."""
+    GF(q**d) holds the k roots of every irreducible of degree k | d, so
+    d * I(d) = q**d - sum(k * I(k) for k | d, k < d); one pass in
+    increasing d adds each d * I(d) to lower[m] at its multiples m.
+    """
     check_prime_power(q)
     if t < 0:
         raise InputRangeError(f"t must be >= 0, got {t}")
     _check_str_digits(q, t, f"degree bound {t} gives counts")
-    return sum(irreducible_count(q, d) for d in range(1, t + 1))
+    lower = [0] * (t + 1)
+    counts = []
+    power = 1
+    for d in range(1, t + 1):
+        power *= q
+        weighted = power - lower[d]
+        if weighted % d:
+            raise InvariantViolation(f"necklace sum not divisible by {d}")
+        for multiple in range(2 * d, t + 1, d):
+            lower[multiple] += weighted
+        counts.append(weighted // d)
+    return counts
+
+
+def irreducible_count(q: int, d: int) -> int:
+    """Number of monic irreducible polynomials of degree d over GF(q)."""
+    if d < 1:
+        raise InputRangeError(f"degree must be >= 1, got {d}")
+    return irreducible_counts(q, d)[-1]
+
+
+def pi_K(q: int, t: int) -> int:
+    """Number of monic irreducible polynomials of degree at most t."""
+    return sum(irreducible_counts(q, t))
 
 
 def _check_str_digits(q: int, e: int, what: str) -> None:
-    """Refuse numbers up to 2 * q**e that could not be written out.
-
-    Such a number has at most floor(e * log10(q)) + 2 decimal digits;
-    when that bound exceeds Python's int-to-str limit
-    (sys.get_int_max_str_digits(), 4300 by default) ResourceCapError
-    is raised, before any of them is formed.
-    """
+    """Raise ResourceCapError, before any is formed, when numbers up to
+    2 * q**e (at most floor(e * log10(q)) + 2 digits) could pass Python's
+    int-to-str limit (sys.get_int_max_str_digits(), 4300 by default)."""
     digits = int(e * log10(q)) + 2
     # Interpreters before 3.10.7 have no limit and no getter.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -122,35 +136,28 @@ class FFDensityReport:
 def oscillation_experiment(q: int, r: int, t_max: int) -> FFDensityReport:
     """Track C_r(t) / pi_K(t) for t <= t_max against both subsequence limits.
 
-    Counting is incremental, one degree at a time.  The errors need
-    not fall monotonically at small t, so the series is returned
-    unchecked; the verification battery tests the limits at large t.
-
-    Every count in the series is at most pi_K(t_max) < 2 * q**t_max;
-    ResourceCapError is raised before any counting starts when such
-    counts could not be written out.
+    One `irreducible_counts` pass gives every degree's count, after its
+    checks; running totals are checked, 0 <= C_r <= pi_K, before each
+    ratio is formed.  The errors need not fall monotonically at small t,
+    so they are left to the verification battery, which tests large t.
     """
     l = _checked_order(q, r)
     if t_max < l:
         raise InputRangeError(f"t_max must be >= ord_r(q) = {l}")
-    _check_str_digits(q, t_max, f"degree bound {t_max} gives counts")
+    counts = irreducible_counts(q, t_max)
     limit_a, limit_b = subsequence_limits(q, r)
     points = []
-    pi_total = 0
-    c_total = 0
-    for t in range(1, t_max + 1):
-        count = irreducible_count(q, t)
+    pi_total = c_total = 0
+    for t, count in enumerate(counts, 1):
         pi_total += count
         if t % l == 0:
             c_total += count
+        if not 0 <= c_total <= pi_total:
+            raise InvariantViolation(
+                f"counting ratio {Fraction(c_total, pi_total)} outside [0, 1]"
+            )
+        tag = "A" * (t % l == 0) + "B" * ((t + 1) % l == 0)
         ratio = Fraction(c_total, pi_total)
-        if not 0 <= ratio <= 1:
-            raise InvariantViolation(f"counting ratio {ratio} outside [0, 1]")
-        tag = ""
-        if t % l == 0:
-            tag += "A"
-        if (t + 1) % l == 0:
-            tag += "B"
         points.append(SeriesPoint(t, pi_total, c_total, ratio, tag))
     return FFDensityReport(q, r, l, t_max, tuple(points), limit_a, limit_b)
 

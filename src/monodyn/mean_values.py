@@ -15,7 +15,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import gcd
 
 from .errors import InputRangeError, InvariantViolation
@@ -215,12 +215,6 @@ def divergence_series(mean, n: int, r_max: int) -> DivergenceSeries:
             f"r_max {r_max} exceeds the 63-bit cap {cap} for n = {n}"
         )
     rs = tuple(range(1, r_max + 1))
-    ps, cs = [], []
-    pt, ct = 0, Fraction(0)
-    for r in rs:
-        val = mean(r)
-        pt += val
-        ct += Fraction(val, r)
-        ps.append(pt)
-        cs.append(ct)
-    return DivergenceSeries(rs, tuple(ps), tuple(cs))
+    vals = [mean(r) for r in rs]
+    cycles = accumulate(Fraction(val, r) for val, r in zip(vals, rs))
+    return DivergenceSeries(rs, tuple(accumulate(vals)), tuple(cycles))

@@ -46,8 +46,6 @@ def m_j(q: int, n: int, j: int) -> int:
     if j < 1:
         raise InputRangeError(f"iterate index must be >= 1, got {j}")
     M = q - 1
-    if M == 1:
-        return 1
     t = pow(n, j, M)
     return gcd((t + M - 1) % M, M)
 

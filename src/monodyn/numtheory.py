@@ -25,6 +25,10 @@ SIEVE_CAP = 10**8
 
 _TRIAL_BOUND = 10**6
 
+# Trial divisor (6k - 1, past 2**10) at which factorize tests the cofactor
+# for primality once, so a prime q near 2**31 is not divided to its root.
+_PRIME_TEST_AT = 1025
+
 # Largest modulus given a gcd lookup table in gcd_classes (512 KB as int64).
 _TABLE_CAP = 2**16
 
@@ -95,7 +99,7 @@ def _brent_rho(n: int) -> int:
 def factorize(m: int) -> tuple[tuple[int, int], ...]:
     """The (p, e) pairs with m == prod(p**e), p increasing.
 
-    Trial division, then rho on hard cofactors.
+    Trial division (see _PRIME_TEST_AT), then rho on hard cofactors.
     """
     _check_positive(m)
     found: dict[int, int] = {}
@@ -106,24 +110,23 @@ def factorize(m: int) -> tuple[tuple[int, int], ...]:
             v //= d
     d, step = 5, 2
     while d <= _TRIAL_BOUND and d * d <= v:
+        if d == _PRIME_TEST_AT and is_prime(v):
+            found[v] = 1
+            return tuple(found.items())
         while v % d == 0:
             found[d] = found.get(d, 0) + 1
             v //= d
         d += step
         step = 6 - step
-    if v > 1:
-        if d * d > v or is_prime(v):
-            found[v] = found.get(v, 0) + 1
+    # a cofactor below d * d has no prime factor below d, so it is prime
+    pending = [v] if v > 1 else []
+    while pending:
+        w = pending.pop()
+        if w < d * d or is_prime(w):
+            found[w] = found.get(w, 0) + 1
         else:
-            pending = [v]
-            while pending:
-                w = pending.pop()
-                if is_prime(w):
-                    found[w] = found.get(w, 0) + 1
-                    continue
-                f = _brent_rho(w)
-                pending.append(f)
-                pending.append(w // f)
+            f = _brent_rho(w)
+            pending += [f, w // f]
     return tuple(sorted(found.items()))
 
 

@@ -52,8 +52,8 @@ def _render(obj, pad: str, put) -> None:
     {"num", "den"}, a dataclass as the dict of its fields, and a dict as
     `_render_dict` says.  Floats, arrays that do not hold integers, and
     any other type raise TypeError: exact pipelines have no business
-    producing them.  The container checks come first because nearly
-    every node of a report is one.
+    producing them.  Containers, strings and Fractions, nearly every
+    node of a report, are checked first.
     """
     kind = type(obj)
     if kind is int:
@@ -62,14 +62,16 @@ def _render(obj, pad: str, put) -> None:
         _render_dict(obj, pad, put)
     elif kind is list or kind is tuple:
         _render_list(obj, pad, put)
-    elif obj is None or isinstance(obj, (bool, str)):
+    elif isinstance(obj, str):
+        put(encode_basestring_ascii(obj))
+    elif isinstance(obj, Fraction):
+        put(f'{{{pad}  "num": {obj.numerator},{pad}  "den": {obj.denominator}{pad}}}')
+    elif obj is None or isinstance(obj, bool):
         put(json.dumps(obj))
     elif isinstance(obj, float):
         raise TypeError(f"refusing to serialize float {obj!r}")
     elif isinstance(obj, int):
         put(str(int(obj)))
-    elif isinstance(obj, Fraction):
-        _render_dict({"num": obj.numerator, "den": obj.denominator}, pad, put)
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         fields = dataclasses.fields(obj)
         _render_dict({f.name: getattr(obj, f.name) for f in fields}, pad, put)

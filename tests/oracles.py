@@ -36,6 +36,15 @@ def naive_is_prime(m: int) -> bool:
     return True
 
 
+def lucas_lehmer(e: int) -> bool:
+    """Whether the Mersenne number 2**e - 1 is prime, for an odd prime e."""
+    m = 2**e - 1
+    s = 4
+    for _ in range(e - 2):
+        s = (s * s - 2) % m
+    return s == 0
+
+
 def naive_divisors(m: int) -> list[int]:
     return [d for d in range(1, m + 1) if m % d == 0]
 

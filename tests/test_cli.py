@@ -281,6 +281,17 @@ REPORT_DIGESTS = [
         "9cc233bb8bf78530f1104f76dd73e632",
     ),
     ("ffield --q 3 --oscillate --r 2", 2, "b5f3e0532d97b09061f22dc0d7bcbea7"),
+    # benchmark-scale series: 1811 and 1220 degrees, counts of up to 583 digits
+    (
+        "ffield --q 2 --r 4095 --t 1811 --oscillate --format csv",
+        0,
+        "3bee6e04c34ae933ccbb76d7ecfa5a08",
+    ),
+    (
+        "ffield --q 3 --r 364 --t 1220 --oscillate",
+        0,
+        "649a928b933e04e48c27ccc0e1ea0d4e",
+    ),
 ]
 
 

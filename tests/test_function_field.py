@@ -2,12 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from monodyn.errors import InputRangeError, ResourceCapError
+from monodyn import function_field
+from monodyn.errors import InputRangeError, InvariantViolation, ResourceCapError
 from monodyn.function_field import (
     dirichlet_D_K,
     dirichlet_density_S,
     dirichlet_mean_solutions,
     irreducible_count,
+    irreducible_counts,
     oscillation_experiment,
     pi_K,
     subsequence_limits,
@@ -15,10 +17,14 @@ from monodyn.function_field import (
 from monodyn.mean_values import divergence_series
 from monodyn.numtheory import multiplicative_order
 
-from oracles import C_r_count, brute_irreducible_counts
+from oracles import C_r_count, brute_irreducible_counts, naive_irreducible_count
 
 
 Q_RANGE = (2, 3, 4, 5, 7, 8, 9)
+
+
+def naive_pi_K(q: int, t: int) -> int:
+    return sum(naive_irreducible_count(q, d) for d in range(1, t + 1))
 
 
 class TestIrreducibleCounts:
@@ -36,10 +42,14 @@ class TestIrreducibleCounts:
     def test_matches_polynomial_sieve(self):
         # independent oracle: mark every reducible monic polynomial as a
         # product and count what is left
-        for p in (2, 3, 5):
-            found = brute_irreducible_counts(p, 8)
-            for d in range(1, 9):
-                assert irreducible_count(p, d) == found[d], (p, d)
+        for p in (2, 3, 5, 7):
+            found = brute_irreducible_counts(p, 8 if p < 7 else 4)
+            assert irreducible_counts(p, len(found)) == list(found.values()), p
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
+    def test_pass_matches_necklace_formula(self, q):
+        counts = irreducible_counts(q, 100)
+        assert counts == [naive_irreducible_count(q, d) for d in range(1, 101)]
 
     def test_degree_weighted_sum_is_q_to_the_d(self):
         # every monic polynomial factors uniquely: sum over d | D of
@@ -51,7 +61,7 @@ class TestIrreducibleCounts:
                 total = sum(d * irreducible_count(q, d) for d in divisors(D))
                 assert total == q**D, (q, D)
 
-    @pytest.mark.parametrize("count", [irreducible_count, pi_K])
+    @pytest.mark.parametrize("count", [irreducible_count, irreducible_counts, pi_K])
     def test_degree_past_int_str_limit(self, count):
         # 2**20000 has 6021 digits, over the default limit of 4300
         with pytest.raises(ResourceCapError):
@@ -145,7 +155,7 @@ class TestOscillation:
         rep = oscillation_experiment(2, 3, 36)
         assert len(rep.series) == 36
         for pt in rep.series:
-            assert pt.pi_K == pi_K(2, pt.t)
+            assert pt.pi_K == naive_pi_K(2, pt.t)
             assert pt.c_r == C_r_count(2, 3, pt.t)
             assert pt.ratio == Fraction(pt.c_r, pt.pi_K)
             assert ("A" in pt.tag) == (pt.t % 2 == 0)
@@ -168,10 +178,17 @@ class TestOscillation:
         rep = oscillation_experiment(2, 3, 12)
         assert [pt.t for pt in rep.series] == list(range(1, 13))
         for pt in rep.series:
-            assert (pt.pi_K, pt.c_r) == (pi_K(2, pt.t), C_r_count(2, 3, pt.t))
+            assert (pt.pi_K, pt.c_r) == (naive_pi_K(2, pt.t), C_r_count(2, 3, pt.t))
             assert pt.ratio == Fraction(pt.c_r, pt.pi_K)
         b_errs = [abs(pt.ratio - rep.limit_B) for pt in rep.series if "B" in pt.tag]
         assert b_errs[-2] < b_errs[-1]
+
+    def test_corrupted_counts_break_the_range_invariant(self, monkeypatch):
+        # no true count is negative; C_r = -5 > pi_K = -3 must not pass
+        bad = [2, -5, 2, 3]
+        monkeypatch.setattr(function_field, "irreducible_counts", lambda q, t: bad[:t])
+        with pytest.raises(InvariantViolation, match=r"ratio 5/3 outside \[0, 1\]"):
+            oscillation_experiment(2, 3, 4)
 
     def test_range_must_reach_first_subsequence_point(self):
         with pytest.raises(InputRangeError):

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from math import gcd
 
@@ -29,6 +30,7 @@ from monodyn.numtheory import (
 )
 from oracles import (
     brute_v_s,
+    lucas_lehmer,
     naive_divisors,
     naive_factor,
     naive_is_prime,
@@ -88,6 +90,54 @@ class TestFactorize:
             factorize(0)
         with pytest.raises(InputRangeError):
             factorize(MAX_INPUT + 1)
+
+
+def oracle_prime(rng: random.Random, lo: int, hi: int) -> int:
+    """A prime in [lo, hi), hi even, certified by trial division."""
+    while True:
+        p = rng.randrange(lo, hi) | 1
+        if naive_is_prime(p):
+            return p
+
+
+class TestFactorizeLargeCofactors:
+    """Inputs whose cofactor reaches the primality test at divisor 1025,
+    against factorizations known by construction from primes that
+    trial division certifies."""
+
+    def test_31_bit_primes_and_their_small_multiples(self):
+        rng = random.Random(31)
+        for _ in range(12):
+            p = oracle_prime(rng, 2**30, 2**31)
+            k = rng.randrange(1, 1025)
+            assert factorize(p) == ((p, 1),)
+            assert dict(factorize(k * p)) == naive_factor(k * p)
+
+    def test_squares_of_primes_past_the_test(self):
+        rng = random.Random(2)
+        primes = [1031, 999983] + [oracle_prime(rng, 1026, 10**6) for _ in range(10)]
+        for p in primes:
+            assert naive_is_prime(p)
+            assert factorize(p * p) == ((p, 2),)
+
+    def test_semiprimes_of_20_to_31_bit_primes(self):
+        rng = random.Random(3)
+        for _ in range(12):
+            bits = rng.randint(20, 31), rng.randint(20, 31)
+            p, q = sorted(oracle_prime(rng, 2 ** (b - 1), 2**b) for b in bits)
+            expected = ((p, 2),) if p == q else ((p, 1), (q, 1))
+            assert factorize(p * q) == expected
+
+    @pytest.mark.parametrize("e", [29, 31, 37, 41, 43, 47, 53, 59, 61])
+    def test_mersenne_numbers_against_lucas_lehmer(self, e):
+        m = 2**e - 1
+        f = factorize(m)
+        assert (f == ((m, 1),)) == lucas_lehmer(e)
+        prod = 1
+        for p, k in f:
+            assert is_prime(p)
+            prod *= p**k
+        assert prod == m
 
 
 class TestIsPrime:
