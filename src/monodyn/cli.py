@@ -147,7 +147,8 @@ def _cmd_analyze(args) -> tuple:
                 "match": rep.totals_match and rep.formula_match is not False,
             }
         else:
-            result["has_nonzero_fixed"] = graph_engine.has_nonzero_fixed(sys_)
+            fixed = graph_engine.is_mth_power(spec, args.a, args.n - 1)
+            result["has_nonzero_fixed"] = fixed
     return config, result, None
 
 

@@ -267,11 +267,6 @@ def is_mth_power(spec: FieldSpec, a_index: int, m: int) -> bool:
     return power(spec, digits(spec, a_index), e) == digits(spec, 1)
 
 
-def has_nonzero_fixed(sys: DynSystem) -> bool:
-    """Solvability of a * x**(n-1) = 1, i.e. f has a nonzero fixed point."""
-    return is_mth_power(sys.field, sys.a_index, sys.n - 1)
-
-
 @dataclass(frozen=True)
 class OrderCheckReport:
     q: int
@@ -406,9 +401,7 @@ def orbit_document(st: OrbitStructure) -> dict:
         "n": st.n,
         "a_index": st.a_index,
         "successor": st.successor,
-        "cycles": [
-            {"length": c.length, "members": c.members} for c in st.cycles
-        ],
+        "cycles": st.cycles,
         "node_info": {
             "component_id": st.component_id,
             "cycle_id": st.cycle_id,

@@ -1,8 +1,9 @@
 """Exact integer number theory shared by the other modules.
 
 Everything here is a pure function of its arguments, so concurrent
-callers are safe.  `factorize` is cached; sweeps hit the same
-moduli over and over and the cache turns those calls into lookups.
+callers are safe.  `factorize` trial-divides only below 2**10 and
+leaves larger factors to Miller-Rabin and Brent's rho; it is cached,
+since sweeps hit the same moduli over and over.
 Inputs are held to a 63-bit cap, which keeps the contracts portable;
 Python integers never overflow, so the cap is a scale limit, not a
 safety net.
@@ -23,11 +24,8 @@ MAX_INPUT = 2**63 - 1
 #: Cap for the prime sieve (desk scale).
 SIEVE_CAP = 10**8
 
-_TRIAL_BOUND = 10**6
-
-# Trial divisor (6k - 1, past 2**10) at which factorize tests the cofactor
-# for primality once, so a prime q near 2**31 is not divided to its root.
-_PRIME_TEST_AT = 1025
+# factorize trial-divides below this; Brent's rho splits what is left.
+_TRIAL_BOUND = 2**10
 
 # Largest modulus given a gcd lookup table in gcd_classes (512 KB as int64).
 _TABLE_CAP = 2**16
@@ -99,7 +97,9 @@ def _brent_rho(n: int) -> int:
 def factorize(m: int) -> tuple[tuple[int, int], ...]:
     """The (p, e) pairs with m == prod(p**e), p increasing.
 
-    Trial division (see _PRIME_TEST_AT), then rho on hard cofactors.
+    Trial division below _TRIAL_BOUND; then a cofactor is prime when it
+    is below d * d, since no prime below d (the first divisor not tried)
+    divides it, or when is_prime says so; Brent's rho splits the rest.
     """
     _check_positive(m)
     found: dict[int, int] = {}
@@ -109,16 +109,12 @@ def factorize(m: int) -> tuple[tuple[int, int], ...]:
             found[d] = found.get(d, 0) + 1
             v //= d
     d, step = 5, 2
-    while d <= _TRIAL_BOUND and d * d <= v:
-        if d == _PRIME_TEST_AT and is_prime(v):
-            found[v] = 1
-            return tuple(found.items())
+    while d < _TRIAL_BOUND and d * d <= v:
         while v % d == 0:
             found[d] = found.get(d, 0) + 1
             v //= d
         d += step
         step = 6 - step
-    # a cofactor below d * d has no prime factor below d, so it is prime
     pending = [v] if v > 1 else []
     while pending:
         w = pending.pop()

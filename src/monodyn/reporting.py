@@ -8,10 +8,12 @@ configuration so identical runs produce byte-identical files.
 
 `_render` states how a result object maps to JSON and applies that
 mapping as it writes, one node at a time, with `_render_dict` for the
-key rules.  It writes the two-space-indent layout of
-`json.dumps(..., indent=2)` itself and formats an integer numpy array,
-or a list or tuple of exact ints, as one join of `str` over its items,
-so the per-node arrays of a graph report are not visited item by item.
+key rules.  It dispatches on exact types only, so a subclass of a
+mapped type (an IntEnum, a namedtuple, an OrderedDict) is refused.  It
+writes the two-space-indent layout of `json.dumps(..., indent=2)`
+itself and formats an integer numpy array, or a list or tuple of
+exact ints, as one join of `str` over its items, so the per-node
+arrays of a graph report are not visited item by item.
 The tests hold it, byte for byte, to the standard library's encoder
 run on an independent recursive mapping in `tests/oracles.py`.
 """
@@ -46,14 +48,16 @@ def render_json(doc) -> str:
 def _render(obj, pad: str, put) -> None:
     """Append obj's JSON text to put; pad is the newline and indent of its line.
 
-    Exact ints, strings, bools and None are written as they are, and
-    lists, tuples and one-dimensional integer arrays as lists (other
-    integer arrays as nested lists).  A Fraction is written as
-    {"num", "den"}, a dataclass as the dict of its fields, and a dict as
-    `_render_dict` says.  Floats, arrays that do not hold integers, and
-    any other type raise TypeError: exact pipelines have no business
-    producing them.  Containers, strings and Fractions, nearly every
-    node of a report, are checked first.
+    Dispatch is on the exact type: ints, strings, bools and None are
+    written as they are, lists and tuples as lists, and one-dimensional
+    integer arrays as lists (other integer arrays as nested lists).  A
+    Fraction is written as {"num", "den"}, a dataclass as the dict of
+    its fields, and a dict as `_render_dict` says.  Floats, arrays that
+    do not hold integers, numpy scalars, subclasses of the types above
+    (an IntEnum, a namedtuple, an OrderedDict) and any other type raise
+    TypeError: exact pipelines have no business producing them.
+    Containers, strings and Fractions, nearly every node of a report,
+    are checked first.
     """
     kind = type(obj)
     if kind is int:
@@ -62,29 +66,20 @@ def _render(obj, pad: str, put) -> None:
         _render_dict(obj, pad, put)
     elif kind is list or kind is tuple:
         _render_list(obj, pad, put)
-    elif isinstance(obj, str):
+    elif kind is str:
         put(encode_basestring_ascii(obj))
-    elif isinstance(obj, Fraction):
+    elif kind is Fraction:
         put(f'{{{pad}  "num": {obj.numerator},{pad}  "den": {obj.denominator}{pad}}}')
-    elif obj is None or isinstance(obj, bool):
+    elif obj is None or kind is bool:
         put(json.dumps(obj))
-    elif isinstance(obj, float):
-        raise TypeError(f"refusing to serialize float {obj!r}")
-    elif isinstance(obj, int):
-        put(str(int(obj)))
-    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        fields = dataclasses.fields(obj)
-        _render_dict({f.name: getattr(obj, f.name) for f in fields}, pad, put)
-    elif isinstance(obj, dict):
-        _render_dict(dict(obj), pad, put)
-    elif isinstance(obj, (list, tuple)):
-        _render_list(list(obj), pad, put)
-    elif isinstance(obj, np.ndarray):
+    elif dataclasses.is_dataclass(kind):
+        _render_dict(vars(obj), pad, put)
+    elif kind is np.ndarray:
         if obj.dtype.kind not in "iu":
             raise TypeError(f"refusing to serialize {obj.dtype} array")
         _render_list(obj if obj.ndim == 1 else obj.tolist(), pad, put)
     else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+        raise TypeError(f"cannot serialize {kind.__name__}")
 
 
 def _render_dict(obj: dict, pad: str, put) -> None:

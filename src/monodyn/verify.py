@@ -292,6 +292,9 @@ def run_verification(
         id_rsn, tau_max, vs_lim = (6, 4, 10), 10_000, (5000, 12)
     else:
         raise InputRangeError(f"scope must be 'quick' or 'full', got {scope!r}")
+    top = mean_values.MAX_WORKERS
+    if not 1 <= threads <= top:
+        raise InputRangeError(f"threads must be in [1, {top}], got {threads}")
 
     # a check returns (failures, counts), except the golden checks,
     # which raise on failure and return nothing

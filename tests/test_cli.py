@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -7,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,7 @@ import monodyn.monomial
 import monodyn.reporting
 import monodyn.verify
 from monodyn.cli import main
+from monodyn.errors import InputRangeError
 
 
 def run(capsys, *argv):
@@ -494,6 +497,10 @@ class TestFfield:
         assert (code, err) == (0, "")
         assert len(json.loads(out)["result"]["series"]) == t
 
+    def test_density_of_r_zero_refused(self, capsys):
+        code, out, err = run(capsys, "ffield", "--q", "2", "--r", "0", "--density")
+        assert (code, out, err) == (2, "", "error: r must be >= 1, got 0\n")
+
     @pytest.mark.parametrize(
         "mode", [["--density"], ["--dmean", "--n", "2"]], ids=["density", "dmean"]
     )
@@ -569,6 +576,20 @@ class TestVerify:
         assert code == 4 and out == ""
         assert err == "error: internal: TypeError: unsupported operand\n"
 
+    def test_unknown_scope_rejected(self):
+        with pytest.raises(InputRangeError):
+            monodyn.verify.run_verification("bogus")
+
+    @pytest.mark.parametrize("threads", [0, 65])
+    def test_worker_count_checked_before_any_check(self, monkeypatch, threads):
+        calls = []
+        monkeypatch.setattr(
+            monodyn.verify, "structure_sweep", lambda *args: calls.append(args)
+        )
+        with pytest.raises(InputRangeError):
+            monodyn.verify.run_verification("quick", threads=threads)
+        assert calls == []
+
     def test_detects_broken_formula(self, capsys, monkeypatch):
         real = monodyn.monomial.periodic_count
 
@@ -602,6 +623,137 @@ class TestVerify:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("FAIL"), proc.stdout
+
+
+def lie_at(monkeypatch, module, name, key, delta):
+    """Make module.name(*key) return delta more than it should."""
+    real = getattr(module, name)
+
+    def lying(*args):
+        return real(*args) + delta if args == key else real(*args)
+
+    monkeypatch.setattr(module, name, lying)
+
+
+def lying_graph(monkeypatch, key, change):
+    """Apply change to the successor array of the system key = (q, n, a)."""
+    real = monodyn.graph_engine.successor_array
+
+    def lying(sys):
+        succ = real(sys)
+        if (sys.field.q, sys.n, sys.a_index) == key:
+            change(succ)
+        return succ
+
+    monkeypatch.setattr(monodyn.graph_engine, "successor_array", lying)
+
+
+class TestBatteryFailurePaths:
+    """Each failure a sweep can report, from one route that lies about one
+    input while staying consistent with itself."""
+
+    def test_structure_formula(self, monkeypatch):
+        # two points of period 2 on GF(19) under x**2 moved to period 1:
+        # the total and the divisibility by the period still hold
+        lie_at(monkeypatch, monodyn.monomial, "periodic_count", (19, 2, 1), 2)
+        lie_at(monkeypatch, monodyn.monomial, "periodic_count", (19, 2, 2), -2)
+        failures, _ = monodyn.verify.structure_sweep(19, 2)
+        assert failures == [("formula", 19, 2, {1: 2, 2: 2, 6: 6}, {1: 4, 6: 6})]
+
+    def test_structure_orders(self, monkeypatch):
+        # the orders of 4 (order 9) and 7 (order 3) in GF(19) swapped
+        real = monodyn.graph_engine.element_orders
+
+        def swapped(spec):
+            orders = real(spec)
+            if spec.q == 19:
+                orders = orders.copy()
+                orders[[4, 7]] = orders[[7, 4]]
+            return orders
+
+        monkeypatch.setattr(monodyn.graph_engine, "element_orders", swapped)
+        failures, _ = monodyn.verify.structure_sweep(19, 2)
+        expected = "index 4: cycle length 6, expected 2 for order 3"
+        assert failures == [("orders", 19, 2, expected)]
+
+    def test_dichotomy_total(self, monkeypatch):
+        # 6 * x**3 on GF(7) has no nonzero fixed point; the leaf 2 is made one
+        def fix_a_leaf(succ):
+            assert succ.tolist() == [0, 6, 6, 1, 6, 1, 1]
+            succ[2] = 2
+
+        lying_graph(monkeypatch, (7, 3, 6), fix_a_leaf)
+        failures, _ = monodyn.verify.dichotomy_sweep(7, 4, 5, 0)
+        assert failures == [("total", 7, 3, 6)]
+
+    def test_dichotomy_formula(self, monkeypatch):
+        # 2 * x**3 on GF(7) fixes 2 and 5; they are made a 2-cycle instead
+        def pair_fixed_points(succ):
+            assert succ.tolist() == [0, 2, 2, 5, 2, 5, 5]
+            succ[[2, 5]] = [5, 2]
+
+        lying_graph(monkeypatch, (7, 3, 2), pair_fixed_points)
+        failures, _ = monodyn.verify.dichotomy_sweep(7, 4, 5, 0)
+        assert failures == [("formula", 7, 3, 2)]
+
+    @pytest.mark.parametrize(
+        "module, name, key, delta, first",
+        [
+            (monodyn.mean_values, "dirichlet_D", (2, 1, 3), 1, (2, 1, 3, 2, 3)),
+            (monodyn.mean_values, "analytic_I", (12, 1), 1, ("tau", 12)),
+            (monodyn.mean_values, "density_mean_gcd", (12, 1), 1, ("tau", 12)),
+            (monodyn.verify, "v_s", (2, 8), -1, (2, 8, 4, 3)),
+        ],
+        ids=["route mismatch", "tau analytic", "tau density", "v_s"],
+    )
+    def test_mean_identities(self, monkeypatch, module, name, key, delta, first):
+        lie_at(monkeypatch, module, name, key, delta)
+        failures, _ = monodyn.verify.mean_identities((3, 2, 3), 20, (10, 3))
+        assert failures == [first]
+
+    def test_sweep_not_converging(self, monkeypatch):
+        # the counts at the two checkpoints of (1, 1, 3) swapped
+        real = monodyn.mean_values.empirical_mean
+
+        def swapped(r, s, n, t_max, **kwargs):
+            rep = real(r, s, n, t_max, **kwargs)
+            if (r, s, n) != (1, 1, 3):
+                return rep
+            small, big = rep.checkpoints
+            counts = ("prime_count", "total", "mean")
+            return dataclasses.replace(
+                rep,
+                checkpoints=(
+                    dataclasses.replace(small, **{k: getattr(big, k) for k in counts}),
+                    dataclasses.replace(big, **{k: getattr(small, k) for k in counts}),
+                ),
+                final_abs_error=abs(small.mean - rep.analytic),
+            )
+
+        monkeypatch.setattr(monodyn.mean_values, "empirical_mean", swapped)
+        ref = real(1, 1, 3, 20_000, checkpoints=[2_000, 20_000])
+        err_small = abs(ref.checkpoints[0].mean - ref.analytic)
+        failures, _ = monodyn.verify.sweep_convergence(2_000, 20_000)
+        assert failures == [(1, 1, 3, ref.final_abs_error, err_small)]
+
+    def test_sweep_degenerate_mean_off_two(self, monkeypatch):
+        # one prime of (1, 1, 2) counted with 3 points instead of 2
+        real = monodyn.mean_values.empirical_mean
+
+        def off_by_one(r, s, n, t_max, **kwargs):
+            rep = real(r, s, n, t_max, **kwargs)
+            if (r, s, n) != (1, 1, 2):
+                return rep
+            first, *rest = rep.checkpoints
+            total = first.total + 1
+            first = dataclasses.replace(
+                first, total=total, mean=Fraction(total, first.prime_count)
+            )
+            return dataclasses.replace(rep, checkpoints=(first, *rest))
+
+        monkeypatch.setattr(monodyn.mean_values, "empirical_mean", off_by_one)
+        failures, _ = monodyn.verify.sweep_convergence(2_000, 20_000)
+        assert failures == [(1, 1, 2, "mean not identically 2")]
 
 
 class TestInternalErrors:

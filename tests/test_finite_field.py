@@ -56,6 +56,10 @@ class TestConstruction:
         with pytest.raises(InputRangeError):
             make_field(6)
 
+    def test_degree_zero_rejected(self):
+        with pytest.raises(InputRangeError):
+            make_field(5, 0)
+
     def test_size_cap(self):
         with pytest.raises(ResourceCapError):
             make_field(2, 23)

@@ -132,6 +132,10 @@ class TestDensities:
             if high != low:
                 assert low < dens < high, (q, r)
 
+    def test_r_zero_rejected(self):
+        with pytest.raises(InputRangeError):
+            dirichlet_density_S(2, 0)
+
     def test_ramified_rejected(self):
         with pytest.raises(InputRangeError):
             dirichlet_density_S(2, 4)
@@ -235,6 +239,8 @@ class TestDirichletMeans:
             dirichlet_D_K(2, 1, 1)
         with pytest.raises(InputRangeError):
             dirichlet_D_K(10, 2, 1)
+        with pytest.raises(InputRangeError):
+            dirichlet_D_K(2, 2, 0)
 
 
 class TestDivergenceK:

@@ -17,7 +17,6 @@ from monodyn.graph_engine import (
     decompose,
     dichotomy_report,
     export_dot,
-    has_nonzero_fixed,
     is_connected,
     is_mth_power,
     monomial_system,
@@ -292,6 +291,10 @@ class TestPowerMembership:
         with pytest.raises(InputRangeError):
             is_mth_power(spec, 0, 2)
 
+    def test_power_index_zero_rejected(self):
+        with pytest.raises(InputRangeError):
+            is_mth_power(make_field(7), 1, 0)
+
     def test_index_outside_the_units_rejected(self):
         # digits would wrap q and -1 onto elements silently
         spec = make_field(3, 2)
@@ -306,7 +309,7 @@ class TestPowerMembership:
                     sys = system(q, n, a)
                     succ = successor_array(sys)
                     scan = any(succ[i] == i for i in range(1, q))
-                    assert has_nonzero_fixed(sys) == scan, (q, n, a)
+                    assert is_mth_power(sys.field, a, n - 1) == scan, (q, n, a)
 
 
 class TestOrderCharacterization:

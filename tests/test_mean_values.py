@@ -311,6 +311,10 @@ class TestDivergence:
             running += analytic_N(r, 2, 3)
             assert got == running
 
+    def test_r_max_zero_rejected(self):
+        with pytest.raises(InputRangeError):
+            divergence_series(lambda r: analytic_N(r, 1, 2), 2, 0)
+
     def test_cap_reported(self):
         cap = max_exponent(2)
         with pytest.raises(InputRangeError) as err:

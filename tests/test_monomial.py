@@ -117,6 +117,10 @@ class TestPeriodicCounts:
                     want = literal_has_r_periodic(q, n, r)
                     assert has_r_periodic(q, n, r) == want, (q, n, r)
 
+    def test_period_zero_rejected(self):
+        with pytest.raises(InputRangeError):
+            periodic_count(7, 2, 0)
+
     def test_existence_rejects_fixed_points(self):
         with pytest.raises(InputRangeError):
             has_r_periodic(7, 2, 1)

@@ -101,7 +101,7 @@ def oracle_prime(rng: random.Random, lo: int, hi: int) -> int:
 
 
 class TestFactorizeLargeCofactors:
-    """Inputs whose cofactor reaches the primality test at divisor 1025,
+    """Inputs with a cofactor left after trial division below 2**10,
     against factorizations known by construction from primes that
     trial division certifies."""
 
@@ -127,6 +127,37 @@ class TestFactorizeLargeCofactors:
             p, q = sorted(oracle_prime(rng, 2 ** (b - 1), 2**b) for b in bits)
             expected = ((p, 2),) if p == q else ((p, 1), (q, 1))
             assert factorize(p * q) == expected
+
+    def test_powers_and_products_of_known_primes(self):
+        cases = {}
+        for p in naive_primes(3000):
+            if p > 1024:
+                cases[p**2] = ((p, 2),)
+                cases[p**3] = ((p, 3),)
+                cases[7 * p**2] = ((7, 1), (p, 2))
+        rng = random.Random(16)
+        for lo, hi, count in ((2**19, 10**6, 100), (2**20, 2**31, 20)):
+            for _ in range(count):
+                p, q = sorted(oracle_prime(rng, lo, hi) for _ in range(2))
+                cases[p * q] = ((p, 2),) if p == q else ((p, 1), (q, 1))
+        assert naive_is_prime(715827883) and naive_is_prime(2**31 - 1)
+        cases[2**61 - 1] = ((2**61 - 1, 1),)
+        cases[2**62 - 1] = ((3, 1), (715827883, 1), (2**31 - 1, 1))
+        cases[(2**31 - 1) ** 2] = ((2**31 - 1, 2),)
+        for m, expected in cases.items():
+            assert factorize(m) == expected, m
+
+    def test_random_63_bit_inputs(self):
+        rng = random.Random(63)
+        for _ in range(500):
+            m = rng.randrange(1, 2**63)
+            f = factorize(m)
+            prod = 1
+            for p, e in f:
+                assert is_prime(p), (m, p)
+                prod *= p**e
+            assert prod == m
+            assert [p for p, _ in f] == sorted({p for p, _ in f}), m
 
     @pytest.mark.parametrize("e", [29, 31, 37, 41, 43, 47, 53, 59, 61])
     def test_mersenne_numbers_against_lucas_lehmer(self, e):
@@ -275,6 +306,12 @@ class TestPowMinusOne:
         with pytest.raises(InputRangeError) as err:
             pow_minus_one(2, 64)
         assert "63" in str(err.value)
+
+    def test_input_errors(self):
+        with pytest.raises(InputRangeError):
+            max_exponent(1)
+        with pytest.raises(InputRangeError):
+            pow_minus_one(1, 3)
 
     @given(st.integers(min_value=2, max_value=100))
     def test_max_exponent_is_tight(self, n):

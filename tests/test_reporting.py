@@ -1,5 +1,7 @@
 import json
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
+from enum import IntEnum
 from fractions import Fraction
 
 import numpy as np
@@ -35,6 +37,13 @@ class Sample:
 class Box:
     value: object
     tag: str = "box"
+
+
+class Mode(IntEnum):
+    ON = 1
+
+
+Pair = namedtuple("Pair", "x y")
 
 
 class TestJsonable:
@@ -173,9 +182,13 @@ class TestRenderer:
             np.array([True, False]),
             [np.int64(3)],
             object(),
+            {"mode": Mode.ON},
+            [Pair(1, 2)],
+            OrderedDict(a=1),
         ],
         ids=["float", "nested float", "float64 array", "nested float64 array",
-             "bool array", "numpy scalar", "object"],
+             "bool array", "numpy scalar", "object", "IntEnum", "namedtuple",
+             "OrderedDict"],
     )
     def test_refusals(self, bad):
         with pytest.raises(TypeError):
