@@ -115,6 +115,13 @@ def _threads(args) -> int:
     return workers
 
 
+def _config(args) -> dict:
+    """A report's config: every parsed option but the command, --output
+    and --threads, in parser order."""
+    skip = ("command", "output", "threads")
+    return {k: v for k, v in vars(args).items() if k not in skip}
+
+
 def _field_for(q: int):
     return finite_field.make_field(*check_prime_power(q))
 
@@ -122,7 +129,6 @@ def _field_for(q: int):
 def _cmd_analyze(args) -> tuple:
     check_prime_power(args.q)
     prof = monomial.profile(args.q, args.n)
-    config = {"q": args.q, "n": args.n, "a": args.a, "brute": args.brute}
     result = {
         "q": args.q,
         "n": args.n,
@@ -149,17 +155,16 @@ def _cmd_analyze(args) -> tuple:
         else:
             fixed = graph_engine.is_mth_power(spec, args.a, args.n - 1)
             result["has_nonzero_fixed"] = fixed
-    return config, result, None
+    return _config(args), result, None
 
 
 def _cmd_graph(args) -> tuple:
     spec = _field_for(args.q)
     sys_ = graph_engine.monomial_system(spec, args.n, args.a)
     st = graph_engine.build(sys_)
-    config = {"q": args.q, "n": args.n, "a": args.a, "format": args.format}
     if args.format == "dot":
-        return config, st, graph_engine.export_dot
-    return config, graph_engine.orbit_document(st), None
+        return _config(args), st, graph_engine.export_dot
+    return _config(args), graph_engine.orbit_document(st), None
 
 
 def _parse_checkpoints(text: str | None) -> list[int] | None:
@@ -181,15 +186,7 @@ def _cmd_sweep(args) -> tuple:
         checkpoints=_parse_checkpoints(args.checkpoints),
         workers=workers,
     )
-    config = {
-        "r": args.r,
-        "s": args.s,
-        "n": args.n,
-        "t": args.t,
-        "checkpoints": args.checkpoints,
-        "format": args.format,
-    }
-    return config, rep, sweep_csv if args.format == "csv" else None
+    return _config(args), rep, sweep_csv if args.format == "csv" else None
 
 
 def _cmd_ffield(args) -> tuple:
@@ -204,28 +201,21 @@ def _cmd_ffield(args) -> tuple:
     if any(getattr(args, name) is None for name in reads):
         needs = " and ".join(f"--{name}" for name in reads)
         raise InputRangeError(f"--{mode} requires {needs}")
+    inputs = {"q": q, **{name: getattr(args, name) for name in reads}}
+    config = {**inputs, "mode": mode}
     if args.density:
-        config = {"q": q, "r": args.r, "mode": mode}
         result = {
-            "q": q,
-            "r": args.r,
+            **inputs,
             "dirichlet_density": function_field.dirichlet_density_S(q, args.r),
             "subsequence_limits": function_field.subsequence_limits(q, args.r),
         }
         return config, result, None
     if args.dmean:
-        config = {"q": q, "n": args.n, "r": args.r, "mode": mode}
         d = function_field.dirichlet_D_K(q, args.n, args.r)
-        result = {
-            "q": q,
-            "n": args.n,
-            "r": args.r,
-            "dirichlet_D": d,
-            "dirichlet_C": d / args.r,
-        }
+        result = {**inputs, "dirichlet_D": d, "dirichlet_C": d / args.r}
         return config, result, None
     rep = function_field.oscillation_experiment(q, args.r, args.t)
-    config = {"q": q, "r": args.r, "t": args.t, "mode": mode, "format": args.format}
+    config["format"] = args.format
     return config, rep, ff_csv if args.format == "csv" else None
 
 

@@ -38,7 +38,7 @@ from math import gcd
 
 import numpy as np
 
-from . import monomial
+from . import monomial, reporting
 from .errors import InputRangeError, InvariantViolation
 from .finite_field import (
     FieldSpec,
@@ -252,8 +252,8 @@ def star_connected(st: OrbitStructure) -> bool:
 
 
 def star_strongly_connected(st: OrbitStructure) -> bool:
-    """The punctured state space is strongly connected iff it is one cycle."""
-    return any(c.length == st.q - 1 and 0 not in c.members for c in st.cycles)
+    """Whether the nonzero points form one cycle: two components, all periodic."""
+    return star_connected(st) and st.periodic_total == st.q
 
 
 def is_mth_power(spec: FieldSpec, a_index: int, m: int) -> bool:
@@ -375,17 +375,23 @@ def dichotomy_report(
 
 
 def export_dot(st: OrbitStructure, header: tuple[str, ...] = ()) -> str:
-    """GraphViz rendering; nodes on a cycle are drawn with two rings."""
-    lines = ["digraph state_space {"]
-    for text in header:
-        lines.append(f"  // {text}")
-    for i, t in enumerate(st.tail_length.tolist()):
-        mark = " [peripheries=2]" if t == 0 else ""
-        lines.append(f"  {i}{mark};")
-    for i, j in enumerate(st.successor.tolist()):
-        lines.append(f"  {i} -> {j};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    """GraphViz rendering; nodes on a cycle are drawn with two rings.
+
+    As `reporting._int_text` does for a long int array, the node lines
+    and then the edge lines are made and joined `reporting.JOIN_BLOCK`
+    nodes at a time, so no more than one block of lines is held."""
+    block = reporting.JOIN_BLOCK
+    parts = ["digraph state_space {", *(f"  // {text}" for text in header)]
+    for lo in range(0, st.q, block):
+        tails = enumerate(st.tail_length[lo : lo + block].tolist(), lo)
+        lines = [f"  {i} [peripheries=2];" if t == 0 else f"  {i};" for i, t in tails]
+        parts.append("\n".join(lines))
+    for lo in range(0, st.q, block):
+        succ = enumerate(st.successor[lo : lo + block].tolist(), lo)
+        lines = [f"  {i} -> {j};" for i, j in succ]
+        parts.append("\n".join(lines))
+    parts.append("}")
+    return "\n".join(parts) + "\n"
 
 
 def orbit_document(st: OrbitStructure) -> dict:

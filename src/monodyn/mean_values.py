@@ -145,7 +145,8 @@ def empirical_mean(
     then evaluated once per sweep, in Python ints, and the blocks are
     folded in index order, which makes the result identical for any
     worker count; at most min(workers, number of blocks) worker
-    processes are started.
+    processes are started.  Only checkpoints=None means
+    `default_checkpoints(t_max)`; an empty list is refused.
     """
     _check_rsn(r, s, n)
     if not 2 <= t_max <= SIEVE_CAP:
@@ -154,9 +155,9 @@ def empirical_mean(
         raise InputRangeError(f"workers must be in [1, {MAX_WORKERS}], got {workers}")
     terms = tuple((mu, pow_minus_one(n, k)) for mu, k in mobius_terms(r))
     analytic = Fraction(analytic_N(r, s, n))
-    cps = sorted(set(checkpoints)) if checkpoints else default_checkpoints(t_max)
-    if any(not 2 <= c <= t_max for c in cps):
-        raise InputRangeError("checkpoints must lie in [2, t_max]")
+    cps = default_checkpoints(t_max) if checkpoints is None else sorted(set(checkpoints))
+    if not cps or any(not 2 <= c <= t_max for c in cps):
+        raise InputRangeError("checkpoints must be a nonempty list in [2, t_max]")
     if cps[-1] != t_max:
         cps.append(t_max)
 

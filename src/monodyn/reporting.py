@@ -6,16 +6,13 @@ value cannot slip into a report.  Envelopes carry the schema tag, the
 command, a seed of 0 (no report draws at random), and a hash of the
 configuration so identical runs produce byte-identical files.
 
-`_render` states how a result object maps to JSON and applies that
-mapping as it writes, one node at a time, with `_render_dict` for the
-key rules.  It dispatches on exact types only, so a subclass of a
-mapped type (an IntEnum, a namedtuple, an OrderedDict) is refused.  It
-writes the two-space-indent layout of `json.dumps(..., indent=2)`
-itself and formats an integer numpy array, or a list or tuple of
-exact ints, as one join of `str` over its items, so the per-node
-arrays of a graph report are not visited item by item.
-The tests hold it, byte for byte, to the standard library's encoder
-run on an independent recursive mapping in `tests/oracles.py`.
+`_render` maps a result object to JSON as it writes, one node at a
+time, by the exact-type rules in its docstring, in the two-space-indent
+layout of `json.dumps(..., indent=2)`.  An int array, or a list of
+exact ints, becomes text JOIN_BLOCK items per join, and so do the DOT
+lines of `graph_engine.export_dot`.  `_csv` is the one CSV layout.
+The tests hold the JSON, byte for byte, to the standard library's
+encoder run on an independent recursive mapping in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -161,27 +158,31 @@ def comment_header(command: str, config: dict) -> list[str]:
     ]
 
 
+def _csv(header: list[str], columns: str, rows) -> str:
+    """The header as `# ` comment lines, the column line, then one
+    comma-joined line per row."""
+    lines = [f"# {h}" for h in header]
+    lines.append(columns)
+    lines.extend(",".join(map(str, row)) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 def sweep_csv(report, header: list[str]) -> str:
     """CSV of a prime-sweep report, one row per checkpoint."""
-    lines = [f"# {h}" for h in header]
-    lines.append("t,pi_t,empirical_num,empirical_den,analytic_num,analytic_den")
     a = report.analytic
-    for cp in report.checkpoints:
-        m = cp.mean
-        lines.append(
-            f"{cp.t},{cp.prime_count},{m.numerator},{m.denominator},"
-            f"{a.numerator},{a.denominator}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = (
+        (cp.t, cp.prime_count, cp.mean.numerator, cp.mean.denominator,
+         a.numerator, a.denominator)
+        for cp in report.checkpoints
+    )
+    columns = "t,pi_t,empirical_num,empirical_den,analytic_num,analytic_den"
+    return _csv(header, columns, rows)
 
 
 def ff_csv(report, header: list[str]) -> str:
     """CSV of a function-field oscillation report, one row per degree."""
-    lines = [f"# {h}" for h in header]
-    lines.append("t,pi_K,C_r,ratio_num,ratio_den,subsequence_tag")
-    for pt in report.series:
-        lines.append(
-            f"{pt.t},{pt.pi_K},{pt.c_r},{pt.ratio.numerator},"
-            f"{pt.ratio.denominator},{pt.tag}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = (
+        (pt.t, pt.pi_K, pt.c_r, pt.ratio.numerator, pt.ratio.denominator, pt.tag)
+        for pt in report.series
+    )
+    return _csv(header, "t,pi_K,C_r,ratio_num,ratio_den,subsequence_tag", rows)

@@ -80,14 +80,13 @@ def structure_sweep(q_limit: int, n_max: int) -> tuple[list, dict]:
             if st.p_brute != prof.per_period or st.c_brute != prof.per_length:
                 failures.append(("formula", q, n, st.p_brute, prof.per_period))
             qs = monomial.q_star(q, n)
-            max_len = max(c.length for c in st.cycles)
             preds = (
                 not graph_engine.is_connected(st),
                 graph_engine.star_connected(st) == (qs == 1),
                 graph_engine.star_strongly_connected(st) == (q == 2),
                 monomial.is_fixed_point_system(q, n)
                 == (prof.r_hat == 1)
-                == (max_len == 1),
+                == (max(st.c_brute) == 1),
                 st.periodic_total == qs + 1,
                 all(
                     monomial.has_r_periodic(q, n, r) == (r in st.c_brute)

@@ -343,6 +343,26 @@ def scalar_order_check(
     return None
 
 
+def member_scan_strongly_connected(q: int, cycles: list[tuple[int, ...]]) -> bool:
+    """Whether the graph with 0 removed is one cycle, read off the member
+    tuples: some cycle has q - 1 members and 0 is not among them."""
+    return any(len(members) == q - 1 and 0 not in members for members in cycles)
+
+
+def line_by_line_dot(successor: list[int], tails: list[int], header=()) -> str:
+    """The DOT text of a functional graph, written one line at a time:
+    the header comments, a node line per index (two rings when its tail
+    length is 0), then an edge line per index."""
+    text = "digraph state_space {\n"
+    for line in header:
+        text += "  // " + line + "\n"
+    for i, t in enumerate(tails):
+        text += "  " + str(i) + (" [peripheries=2]" if t == 0 else "") + ";\n"
+    for i, j in enumerate(successor):
+        text += "  " + str(i) + " -> " + str(j) + ";\n"
+    return text + "}\n"
+
+
 # ---------------------------------------------------------------------------
 # function-field counts by their literal definitions
 
@@ -371,28 +391,29 @@ def C_r_count(q: int, r: int, t: int) -> int:
 def jsonable(obj):
     """Recursively convert a result object to JSON-safe primitives.
 
+    Dispatch is on the exact type, so a subclass of a mapped type (an
+    IntEnum, a namedtuple, an OrderedDict) raises TypeError.
     Fractions become {"num": ..., "den": ...}; dataclasses become
     dicts; dict keys are sorted when all are ints (bools included), then
     stringified with str.
     Floats raise TypeError: exact pipelines have no business
     producing them.
     """
-    if isinstance(obj, bool) or obj is None or isinstance(obj, str):
+    kind = type(obj)
+    if obj is None or kind in (bool, int, str):
         return obj
-    if isinstance(obj, float):
+    if kind is float:
         raise TypeError(f"refusing to serialize float {obj!r}")
-    if isinstance(obj, int):
-        return obj
-    if isinstance(obj, Fraction):
+    if kind is Fraction:
         return {"num": obj.numerator, "den": obj.denominator}
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+    if dataclasses.is_dataclass(kind):
         return {
             f.name: jsonable(getattr(obj, f.name))
             for f in dataclasses.fields(obj)
         }
-    if isinstance(obj, dict):
+    if kind is dict:
         keys = sorted(obj) if all(isinstance(k, int) for k in obj) else list(obj)
         return {str(k): jsonable(obj[k]) for k in keys}
-    if isinstance(obj, (list, tuple)):
+    if kind in (list, tuple):
         return [jsonable(v) for v in obj]
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    raise TypeError(f"cannot serialize {kind.__name__}")

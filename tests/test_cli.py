@@ -254,6 +254,9 @@ REPORT_DIGESTS = [
     ("graph --q 729 --n 4 --format dot", 0, "929a2e4bdd5f4189f491a63a268ae959"),
     ("graph --q 8191 --n 3 --a 5", 0, "718451e8a348f81609758cb37085c7a9"),
     ("graph --q 8191 --n 3 --format dot", 0, "3e89cd4bd373a0e3177d32e5cb3f6bff"),
+    # 65537 nodes: both per-node writers cross a JOIN_BLOCK boundary
+    ("graph --q 65537 --n 3", 0, "a49caf7a16081cb3a74acf15389c3d79"),
+    ("graph --q 65537 --n 3 --format dot", 0, "b1e24e1a131e0c8be18ffe57d9a8d9be"),
     (
         "sweep --r 2 --s 2 --n 3 --t 5000 --checkpoints 100,1000",
         0,
@@ -349,6 +352,17 @@ class TestSweep:
         )
         assert code == 2
         assert "checkpoint" in err
+
+    @pytest.mark.parametrize("text", [",", "", " , "])
+    def test_empty_checkpoint_list(self, capsys, text):
+        # an empty list is an input error, not a request for the defaults
+        code, out, err = run(
+            capsys,
+            "sweep", "--r", "1", "--n", "2", "--t", "100",
+            "--checkpoints", text,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1, err
 
     def test_out_of_range_checkpoint(self, capsys):
         code, _, _ = run(

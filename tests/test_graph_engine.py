@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from monodyn import finite_field, graph_engine, monomial
+from monodyn import finite_field, graph_engine, monomial, reporting
 from monodyn.errors import InputRangeError, InvariantViolation
 from monodyn.finite_field import digits, make_field
 from monodyn.graph_engine import (
@@ -33,6 +33,8 @@ from oracles import digits as oracle_digits
 from oracles import (
     exact_periods_by_iteration,
     jsonable,
+    line_by_line_dot,
+    member_scan_strongly_connected,
     scalar_build,
     scalar_order_check,
     scalar_power,
@@ -256,6 +258,20 @@ class TestConnectivity:
         # on GF(2) the single nonzero point is a loop, trivially strong
         assert star_strongly_connected(build(system(2, 2)))
 
+    def test_strongly_connected_matches_member_scan(self):
+        # a = 1 and two seeded random coefficients on every q <= 300
+        rng = random.Random(300)
+        strong = 0
+        for q, _, _ in prime_powers_up_to(300):
+            for n in range(2, 9):
+                for a in (1, rng.randrange(1, q), rng.randrange(1, q)):
+                    struct = build(system(q, n, a))
+                    members = [c.members for c in struct.cycles]
+                    want = member_scan_strongly_connected(q, members)
+                    assert star_strongly_connected(struct) == want, (q, n, a)
+                    strong += want
+        assert strong > 0
+
     def test_unit_coefficient_never_strong_past_two(self):
         for q, _, _ in prime_powers_up_to(64):
             if q == 2:
@@ -461,6 +477,27 @@ class TestExports:
         assert "  // hello" in dot and "  // world" in dot
         assert dot.count(" -> ") == 7
         assert dot.count("peripheries=2") == struct.periodic_total
+
+    @pytest.mark.parametrize(
+        "q, n, header",
+        [(2, 2, ()), (7, 2, ("hello", "world")), (65537, 3, ())],
+        ids=["q=2", "q=7 with header", "q=65537"],
+    )
+    def test_dot_matches_line_by_line_writer(self, q, n, header):
+        struct = build(system(q, n))
+        want = line_by_line_dot(
+            struct.successor.tolist(), struct.tail_length.tolist(), header
+        )
+        assert export_dot(struct, header) == want
+
+    def test_dot_blocks_cross_boundaries(self, monkeypatch):
+        monkeypatch.setattr(reporting, "JOIN_BLOCK", 3)
+        for q in (2, 3, 4, 5, 7, 9):
+            struct = build(system(q, 2, q - 1))
+            want = line_by_line_dot(
+                struct.successor.tolist(), struct.tail_length.tolist(), ("h",)
+            )
+            assert export_dot(struct, ("h",)) == want, q
 
     def test_json_round_trip(self):
         struct = build(system(9, 2, a_index=4))

@@ -207,6 +207,9 @@ class TestEmpiricalSweep:
             empirical_mean(1, 1, 2, 100, checkpoints=[200])
         with pytest.raises(InputRangeError):
             empirical_mean(1, 1, 2, 100, checkpoints=[1])
+        # only None means the default checkpoints; an empty list is refused
+        with pytest.raises(InputRangeError):
+            empirical_mean(1, 1, 2, 100, checkpoints=[])
         with pytest.raises(InputRangeError):
             empirical_mean(1, 1, 2, 100, workers=0)
         with pytest.raises(InputRangeError):

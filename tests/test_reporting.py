@@ -193,6 +193,9 @@ class TestRenderer:
     def test_refusals(self, bad):
         with pytest.raises(TypeError):
             render_json(bad)
+        # the reference mapping refuses the same inputs, subclasses included
+        with pytest.raises(TypeError):
+            oracle_jsonable(bad)
 
     @pytest.mark.parametrize(
         "doc, text",
