@@ -220,18 +220,19 @@ def _cmd_ffield(args) -> tuple:
 
 
 def _cmd_verify(args) -> tuple[str, int]:
-    summary = run_verification(args.scope, args.seed, _threads(args))
+    results = run_verification(args.scope, args.seed, _threads(args))
     lines = []
-    for r in summary.results:
+    for r in results:
         status = "PASS" if r.ok else "FAIL"
         extra = f"  ({r.detail})" if r.detail else ""
         lines.append(f"{status}  {r.name}  [{r.seconds:.2f}s]{extra}")
-    n_ok = sum(r.ok for r in summary.results)
+    n_ok = sum(r.ok for r in results)
+    ok = n_ok == len(results)
     lines.append(
-        f"{'OK' if summary.ok else 'FAILED'}: {n_ok}/{len(summary.results)} "
-        f"checks passed (scope={summary.scope}, seed={summary.seed})"
+        f"{'OK' if ok else 'FAILED'}: {n_ok}/{len(results)} "
+        f"checks passed (scope={args.scope}, seed={args.seed})"
     )
-    return "\n".join(lines) + "\n", 0 if summary.ok else 1
+    return "\n".join(lines) + "\n", 0 if ok else 1
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -269,9 +269,6 @@ def is_mth_power(spec: FieldSpec, a_index: int, m: int) -> bool:
 
 @dataclass(frozen=True)
 class OrderCheckReport:
-    q: int
-    n: int
-    checked: int
     passed: bool
     failure: str | None
 
@@ -327,7 +324,7 @@ def check_order_characterization(
         if mixed.any():
             first = st.cycles[int(cyc[mixed].min())]
             failure = f"cycle through {first.members[0]} mixes element orders"
-    return OrderCheckReport(q, n, q - 1, failure is None, failure)
+    return OrderCheckReport(failure is None, failure)
 
 
 @dataclass(frozen=True)
@@ -359,13 +356,8 @@ def dichotomy_report(
     expected = monomial.q_star(q, n) + 1
     totals_ok = st.periodic_total == expected
     formula_ok = None
-    if in_image:
-        prof = monomial.profile(q, n)
-        formula_ok = (
-            st.p_brute == prof.per_period
-            and st.c_brute == prof.per_length
-            and st.component_count == prof.total_cycles
-        )
+    if in_image:  # build derives p_brute and component_count from c_brute
+        formula_ok = st.c_brute == monomial.profile(q, n).per_length
     rep = DichotomyReport(
         q, n, st.a_index, in_image, st.periodic_total, expected, totals_ok, formula_ok
     )

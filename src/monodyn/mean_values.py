@@ -21,10 +21,10 @@ from math import gcd
 from .errors import InputRangeError, InvariantViolation
 from .numtheory import (
     SIEVE_CAP,
+    check_sieve_bound,
     divisors,
     euler_phi,
     gcd_classes,
-    max_exponent,
     mobius_terms,
     pow_minus_one,
     prime_array,
@@ -149,7 +149,8 @@ def empirical_mean(
     `default_checkpoints(t_max)`; an empty list is refused.
     """
     _check_rsn(r, s, n)
-    if not 2 <= t_max <= SIEVE_CAP:
+    check_sieve_bound(t_max)
+    if t_max < 2:
         raise InputRangeError(f"t_max must be in [2, {SIEVE_CAP}], got {t_max}")
     if not 1 <= workers <= MAX_WORKERS:
         raise InputRangeError(f"workers must be in [1, {MAX_WORKERS}], got {workers}")
@@ -195,9 +196,8 @@ def empirical_mean(
 
 @dataclass(frozen=True)
 class DivergenceSeries:
-    r_values: tuple[int, ...]
-    point_sums: tuple[int | Fraction, ...]  # running sums of the per-r means
-    cycle_sums: tuple[Fraction, ...]  # running sums of mean / r
+    point_sums: tuple[int | Fraction, ...]  # entry r - 1: mean(1) + ... + mean(r)
+    cycle_sums: tuple[Fraction, ...]  # entry r - 1: the same sum of mean(k) / k
 
 
 def divergence_series(mean, n: int, r_max: int) -> DivergenceSeries:
@@ -208,14 +208,7 @@ def divergence_series(mean, n: int, r_max: int) -> DivergenceSeries:
     Both series grow without bound; r_max is capped, before the first
     term, so n**r - 1 stays within 63 bits.
     """
-    if r_max < 1:
-        raise InputRangeError(f"r_max must be >= 1, got {r_max}")
-    cap = max_exponent(n)
-    if r_max > cap:
-        raise InputRangeError(
-            f"r_max {r_max} exceeds the 63-bit cap {cap} for n = {n}"
-        )
-    rs = tuple(range(1, r_max + 1))
-    vals = [mean(r) for r in rs]
-    cycles = accumulate(Fraction(val, r) for val, r in zip(vals, rs))
-    return DivergenceSeries(rs, tuple(accumulate(vals)), tuple(cycles))
+    pow_minus_one(n, r_max)  # refuses r_max < 1 and r_max past the cap
+    vals = [mean(r) for r in range(1, r_max + 1)]
+    cycles = accumulate(Fraction(val, r) for r, val in enumerate(vals, 1))
+    return DivergenceSeries(tuple(accumulate(vals)), tuple(cycles))

@@ -111,8 +111,6 @@ def is_bijective(q: int, n: int) -> bool:
 class CycleProfile:
     """Complete cycle census of x -> x**n on GF(q)."""
 
-    q: int
-    n: int
     r_hat: int
     per_period: dict[int, int]  # period -> points of that exact period
     per_length: dict[int, int]  # length -> number of cycles
@@ -145,6 +143,4 @@ def profile(q: int, n: int) -> CycleProfile:
         raise InvariantViolation(
             f"profile total {total} != q*(n) + 1 = {expected} for (q={q}, n={n})"
         )
-    return CycleProfile(
-        q, n, rh, per_period, per_length, total, sum(per_length.values())
-    )
+    return CycleProfile(rh, per_period, per_length, total, sum(per_length.values()))

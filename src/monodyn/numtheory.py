@@ -222,10 +222,10 @@ def coprime_part(m: int, n: int) -> int:
 
 
 def max_exponent(n: int) -> int:
-    """Largest r with n**r - 1 <= 2**63 - 1 (n >= 2)."""
+    """Largest r with n**r - 1 <= 2**63 - 1 (n >= 2); 0 if there is none."""
     if n < 2:
         raise InputRangeError(f"n must be >= 2, got {n}")
-    r = 1
+    r = 0
     while n ** (r + 1) - 1 <= MAX_INPUT:
         r += 1
     return r
@@ -235,18 +235,21 @@ def pow_minus_one(n: int, r: int) -> int:
     """n**r - 1, rejected once it leaves the 63-bit input range.
 
     r is compared with max_exponent(n) before any power is formed, so a
-    huge r costs nothing; a huge n with r = 1 is caught by the value.
+    huge r costs nothing.
     """
     if n < 2 or r < 1:
         raise InputRangeError("need n >= 2 and r >= 1")
     cap = max_exponent(n)
     if r <= cap:
-        val = n**r - 1
-        if val <= MAX_INPUT:
-            return val
-    raise InputRangeError(
-        f"n**r - 1 exceeds 2**63 - 1; for n = {n} the largest admissible r is {cap}"
-    )
+        return n**r - 1
+    limit = f"the largest admissible r is {cap}" if cap else "no r is admissible"
+    raise InputRangeError(f"n**r - 1 exceeds 2**63 - 1; for n = {n} {limit}")
+
+
+def check_sieve_bound(t: int) -> None:
+    """Refuse, as a resource cap, a sieve bound past SIEVE_CAP."""
+    if t > SIEVE_CAP:
+        raise ResourceCapError(f"sieve bound {t} exceeds the cap {SIEVE_CAP}")
 
 
 def prime_array(t: int) -> np.ndarray:
@@ -256,8 +259,7 @@ def prime_array(t: int) -> np.ndarray:
     sieve takes (t + 1) // 2 bytes and each prime p >= 3 strikes only
     its odd multiples, from p * p in steps of 2p.
     """
-    if t > SIEVE_CAP:
-        raise ResourceCapError(f"sieve bound {t} exceeds the cap {SIEVE_CAP}")
+    check_sieve_bound(t)
     if t < 0:
         raise InputRangeError(f"sieve bound must be nonnegative, got {t}")
     if t < 2:

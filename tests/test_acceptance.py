@@ -25,8 +25,7 @@ def best_of(fn, repeats: int = 200) -> float:
 
 @pytest.fixture(scope="session")
 def battery():
-    summary = verify.run_verification("full", seed=0, threads=4)
-    return {r.name: r for r in summary.results}
+    return {r.name: r for r in verify.run_verification("full", seed=0, threads=4)}
 
 
 def tagged(result, tag: str) -> list:

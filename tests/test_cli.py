@@ -429,6 +429,23 @@ class TestSweep:
         assert "largest admissible r is 39" in err
         assert time.perf_counter() - t0 < 1.0
 
+    def test_sieve_bound_is_a_resource_cap(self, capsys):
+        argv = ("sweep", "--r", "1", "--n", "2", "--t")
+        code, out, err = run(capsys, *argv, "100000001")
+        assert (code, out) == (3, "")
+        assert err == "error: sieve bound 100000001 exceeds the cap 100000000\n"
+        code, out, err = run(capsys, *argv, "1")
+        assert (code, out) == (2, "")
+        assert err == "error: t_max must be in [2, 100000000], got 1\n"
+
+    def test_no_admissible_exponent_named(self, capsys):
+        n = str(2**63 + 1)
+        code, out, err = run(capsys, "sweep", "--r", "1", "--n", n, "--t", "10")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: n**r - 1 exceeds 2**63 - 1; for n = {n} no r is admissible\n"
+        )
+
     def test_threads_flag_overrides_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("MONODYN_THREADS", "abc")
         code, _, _ = run(

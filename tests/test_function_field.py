@@ -246,7 +246,7 @@ class TestDirichletMeans:
 class TestDivergenceK:
     def test_partial_sums_grow_without_bound(self):
         series = divergence_series(lambda r: dirichlet_D_K(3, 2, r), 2, 31)
-        assert series.r_values == tuple(range(1, 32))
+        assert len(series.point_sums) == len(series.cycle_sums) == 31
         for a, b in zip(series.point_sums, series.point_sums[1:]):
             assert b >= a
         assert series.point_sums[-1] > series.point_sums[0] + 5
@@ -254,7 +254,7 @@ class TestDivergenceK:
     def test_running_sum_matches_term_values(self):
         series = divergence_series(lambda r: dirichlet_D_K(2, 3, r), 3, 10)
         running = Fraction(0)
-        for r, got in zip(series.r_values, series.point_sums):
+        for r, got in enumerate(series.point_sums, 1):
             running += dirichlet_D_K(2, 3, r)
             assert got == running
 

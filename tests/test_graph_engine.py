@@ -335,7 +335,6 @@ class TestOrderCharacterization:
                 sys = system(q, n)
                 rep = check_order_characterization(sys, build(sys))
                 assert rep.passed, (q, n, rep.failure)
-                assert rep.checked == q - 1
 
     @staticmethod
     def scalar_failure(sys, st_, orders) -> str | None:
@@ -461,6 +460,18 @@ class TestDichotomy:
             dichotomy_report(sys, broken)
         rep = dichotomy_report(sys, broken, strict=False)
         assert rep.totals_match is False
+
+    def test_cycle_census_compared_on_its_own(self):
+        # GF(7) under x**2 has cycles {1: 2, 2: 1}; a census of four fixed
+        # points keeps the periodic total at q* + 1 = 4 but breaks the
+        # closed forms, and only c_brute says so
+        sys = system(7, 2)
+        wrong = dataclasses.replace(build(sys), c_brute={1: 4})
+        rep = dichotomy_report(sys, wrong, strict=False)
+        assert rep.formula_match is False
+        assert rep.totals_match is True
+        with pytest.raises(InvariantViolation):
+            dichotomy_report(sys, wrong)
 
 
 class TestExports:

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from monodyn import mean_values
-from monodyn.errors import InputRangeError
+from monodyn.errors import InputRangeError, ResourceCapError
 from monodyn.mean_values import (
     MAX_WORKERS,
     analytic_I,
@@ -20,7 +20,7 @@ from monodyn.mean_values import (
     empirical_mean,
     mobius_invert_multiples,
 )
-from monodyn.numtheory import divisors, max_exponent, v_s
+from monodyn.numtheory import SIEVE_CAP, divisors, max_exponent, v_s
 
 from oracles import (
     analytic_C_mean,
@@ -162,6 +162,12 @@ class TestEmpiricalSweep:
             assert c.total == 2 * c.prime_count
         assert rep.final_abs_error == 0
 
+    def test_sieve_bound_is_a_resource_cap(self):
+        with pytest.raises(ResourceCapError):
+            empirical_mean(1, 1, 2, SIEVE_CAP + 1)
+        with pytest.raises(InputRangeError):
+            empirical_mean(1, 1, 2, 1)
+
     def test_prime_counts_at_checkpoints(self):
         rep = empirical_mean(2, 1, 2, 100)
         assert [c.prime_count for c in rep.checkpoints] == [4, 25]
@@ -295,7 +301,7 @@ class TestSweepAgainstScalarLoop:
 class TestDivergence:
     def test_partial_sums_grow(self):
         series = divergence_series(lambda r: analytic_N(r, 1, 2), 2, 31)
-        assert series.r_values == tuple(range(1, 32))
+        assert len(series.point_sums) == len(series.cycle_sums) == 31
         for a, b in zip(series.point_sums, series.point_sums[1:]):
             assert b >= a
         for a, b in zip(series.cycle_sums, series.cycle_sums[1:]):
@@ -303,20 +309,26 @@ class TestDivergence:
 
     def test_strict_growth_at_primes(self):
         series = divergence_series(lambda r: analytic_N(r, 1, 2), 2, 31)
-        sums = {r: v for r, v in zip(series.r_values, series.point_sums)}
+        sums = dict(enumerate(series.point_sums, 1))
         for r in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
             assert sums[r] > sums[r - 1], r
 
     def test_values_match_analytic(self):
         series = divergence_series(lambda r: analytic_N(r, 2, 3), 3, 8)
         running = 0
-        for r, got in zip(series.r_values, series.point_sums):
+        for r, got in enumerate(series.point_sums, 1):
             running += analytic_N(r, 2, 3)
             assert got == running
 
     def test_r_max_zero_rejected(self):
         with pytest.raises(InputRangeError):
             divergence_series(lambda r: analytic_N(r, 1, 2), 2, 0)
+
+    def test_refused_before_first_term_when_no_r_is_admissible(self):
+        terms = []
+        with pytest.raises(InputRangeError):
+            divergence_series(terms.append, 2**63 + 1, 1)
+        assert terms == []
 
     def test_cap_reported(self):
         cap = max_exponent(2)

@@ -313,6 +313,15 @@ class TestPowMinusOne:
         with pytest.raises(InputRangeError):
             pow_minus_one(1, 3)
 
+    def test_no_admissible_exponent(self):
+        # n - 1 <= 2**63 - 1 exactly when n <= 2**63
+        assert max_exponent(2**63) == 1
+        assert pow_minus_one(2**63, 1) == MAX_INPUT
+        assert max_exponent(2**63 + 1) == 0
+        with pytest.raises(InputRangeError) as err:
+            pow_minus_one(2**63 + 1, 1)
+        assert "no r is admissible" in str(err.value)
+
     @given(st.integers(min_value=2, max_value=100))
     def test_max_exponent_is_tight(self, n):
         r = max_exponent(n)
