@@ -26,6 +26,9 @@ from .numtheory import check_prime_power
 from .reporting import comment_header, envelope, ff_csv, render_json, sweep_csv
 from .verify import run_verification
 
+#: Characters of a report handed to the file per write.
+WRITE_CHUNK = 2**20
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -235,6 +238,13 @@ def _cmd_verify(args) -> tuple[str, int]:
     return "\n".join(lines) + "\n", 0 if ok else 1
 
 
+def _write(fh, text: str) -> None:
+    """Write text WRITE_CHUNK characters at a time, so that no encoded
+    copy of a whole report is made beside it."""
+    for lo in range(0, len(text), WRITE_CHUNK):
+        fh.write(text[lo : lo + WRITE_CHUNK])
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     code, line = 0, None
@@ -262,10 +272,10 @@ def main(argv: list[str] | None = None) -> int:
     else:
         try:
             if args.output is None:
-                sys.stdout.write(text)
+                _write(sys.stdout, text)
             else:
                 with open(args.output, "w") as fh:
-                    fh.write(text)
+                    _write(fh, text)
         except OSError as exc:
             target = args.output or "standard output"
             code, line = 2, f"error: cannot write {target}: {exc.strerror or exc}"

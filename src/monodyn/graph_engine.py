@@ -27,7 +27,10 @@ same decomposition by masking index 0 instead of rebuilding.
 
 The loops run over peel layers, doubling steps and cycles, never over
 nodes.  No discrete logarithm, Zech table or generator is used: the
-graph is read off the field arithmetic alone.
+graph is read off the field arithmetic alone.  The exports keep to
+whole arrays as well: `orbit_document` hands the int32 arrays to
+`reporting.render_json` as they are, and `export_dot` writes its node
+and edge lines with `reporting._text_rows`, one block of nodes per pass.
 """
 
 from __future__ import annotations
@@ -369,29 +372,30 @@ def dichotomy_report(
 def export_dot(st: OrbitStructure, header: tuple[str, ...] = ()) -> str:
     """GraphViz rendering; nodes on a cycle are drawn with two rings.
 
-    As `reporting._int_text` does for a long int array, the node lines
-    and then the edge lines are made and joined `reporting.JOIN_BLOCK`
-    nodes at a time, so no more than one block of lines is held."""
+    The node lines and then the edge lines are written by
+    `reporting._text_rows`, `reporting.JOIN_BLOCK` nodes at a time, so
+    no more than one block of their bytes is held beside the text."""
     block = reporting.JOIN_BLOCK
     parts = ["digraph state_space {", *(f"  // {text}" for text in header)]
     for lo in range(0, st.q, block):
-        tails = enumerate(st.tail_length[lo : lo + block].tolist(), lo)
-        lines = [f"  {i} [peripheries=2];" if t == 0 else f"  {i};" for i, t in tails]
-        parts.append("\n".join(lines))
+        ids = np.arange(lo, min(lo + block, st.q), dtype=np.int32)
+        ring = (b" [peripheries=2]", st.tail_length[lo : lo + block] == 0)
+        parts.append(reporting._text_rows([b"  ", ids, ring, b";"], "\n"))
     for lo in range(0, st.q, block):
-        succ = enumerate(st.successor[lo : lo + block].tolist(), lo)
-        lines = [f"  {i} -> {j};" for i, j in succ]
-        parts.append("\n".join(lines))
-    parts.append("}")
-    return "\n".join(parts) + "\n"
+        ids = np.arange(lo, min(lo + block, st.q), dtype=np.int32)
+        succ = st.successor[lo : lo + block]
+        parts.append(reporting._text_rows([b"  ", ids, b" -> ", succ, b";"], "\n"))
+    parts.append("}\n")
+    return "\n".join(parts)
 
 
 def orbit_document(st: OrbitStructure) -> dict:
     """JSON-ready view of the decomposition.
 
     The per-node lists are the structure's own int32 arrays, handed
-    through as they are: `reporting.render_json` formats an integer
-    array in one join, so no per-node Python ints are made for them.
+    through as they are: `reporting.render_json` writes an integer
+    array with its numpy text kernel, so no per-node Python ints are
+    made for them.
     """
     return {
         "kind": "orbit_structure",

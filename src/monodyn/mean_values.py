@@ -3,7 +3,8 @@
 As p runs through primes, the number of exact-period-r points of the
 power map on GF(p**s) has a limiting mean value.  Two independent
 routes compute it: a direct route that sums the unit-root counts v_s
-over the divisors of n**k - 1, and a density route that first builds
+over the divisors of n**k - 1, as a product over its prime powers
+because v_s is multiplicative, and a density route that first builds
 the Dirichlet density of each gcd class by Moebius inversion and then
 recombines.  Both must agree, and the empirical prime sweep
 accumulates exact integers, so every reported mean is a true
@@ -16,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import gcd
+from math import gcd, prod
 
 from .errors import InputRangeError, InvariantViolation
 from .numtheory import (
@@ -24,6 +25,7 @@ from .numtheory import (
     check_sieve_bound,
     divisors,
     euler_phi,
+    factorize,
     gcd_classes,
     mobius_terms,
     pow_minus_one,
@@ -45,9 +47,12 @@ def _check_rsn(r: int, s: int, n: int) -> None:
 def analytic_I(m: int, s: int) -> int:
     """Mean of gcd(m, p**s - 1) over primes: the sum of v_s over divisors of m.
 
-    For s = 1 this is the divisor count of m.
+    v_s(s, .) is multiplicative, so that sum is the product, over the
+    prime powers p**e exactly dividing m, of v_s(s, p**k) summed over
+    k = 0..e; only the prime powers are visited, not the divisors.  For
+    s = 1 this is the divisor count of m.
     """
-    return sum(v_s(s, l) for l in divisors(m))
+    return prod(sum(v_s(s, p**k) for k in range(e + 1)) for p, e in factorize(m))
 
 
 def analytic_N(r: int, s: int, n: int) -> int:

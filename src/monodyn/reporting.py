@@ -8,9 +8,11 @@ configuration so identical runs produce byte-identical files.
 
 `_render` maps a result object to JSON as it writes, one node at a
 time, by the exact-type rules in its docstring, in the two-space-indent
-layout of `json.dumps(..., indent=2)`.  An int array, or a list of
-exact ints, becomes text JOIN_BLOCK items per join, and so do the DOT
-lines of `graph_engine.export_dot`.  `_csv` is the one CSV layout.
+layout of `json.dumps(..., indent=2)`.  A list of exact ints becomes
+text by str, JOIN_BLOCK items per join.  An int array becomes text in
+`_text_rows`, the one numpy text kernel, JOIN_BLOCK items per pass, as
+do the node and edge lines of `graph_engine.export_dot`; no per-item
+Python int or str is made.  `_csv` is the one CSV layout.
 The tests hold the JSON, byte for byte, to the standard library's
 encoder run on an independent recursive mapping in `tests/oracles.py`.
 """
@@ -29,8 +31,8 @@ from . import __version__
 
 SCHEMA = "monodyn/1"
 
-#: Items of an int list or array turned into text per join; bounds the
-#: temporary ints and strings of a q-long array.
+#: Items of an int list or array turned into text per join or per
+#: `_text_rows` pass; bounds the temporaries of a q-long array.
 JOIN_BLOCK = 2**16
 
 
@@ -122,13 +124,67 @@ def _render_list(seq, pad: str, put) -> None:
 
 
 def _int_text(seq, sep: str) -> str:
-    """The decimal forms of seq's ints joined by sep, JOIN_BLOCK at a time."""
+    """The decimal forms of seq's ints joined by sep, JOIN_BLOCK at a time.
+
+    An array goes through `_text_rows`; a list or tuple of Python ints,
+    whose values are unbounded, through str.
+    """
     if len(seq) > JOIN_BLOCK:
         blocks = range(0, len(seq), JOIN_BLOCK)
         return sep.join(_int_text(seq[lo : lo + JOIN_BLOCK], sep) for lo in blocks)
     if isinstance(seq, np.ndarray):
-        seq = seq.tolist()
+        return _text_rows([seq], sep)
     return sep.join(map(str, seq))
+
+
+def _text_rows(parts, sep: str) -> str:
+    """ASCII rows joined by sep, one row per item of the parts' arrays.
+
+    A part is a bytes literal written in every row, a nonempty integer
+    array written in decimal, or a (literal, mask) pair whose literal is
+    written only in the rows where the boolean mask is true.  The rows
+    are laid out in one uint8 matrix of fixed width: a template row of
+    the literals, a sign column and the widest item's number of digit
+    columns per array, and sep, repeated; then the digits are written a
+    column at a time from the magnitudes by `// 10` and `% 10`.  A
+    boolean matrix of the same shape keeps the bytes of the text, which
+    drops leading zeros, the sign of an item that is not negative, the
+    literal of a false mask row and the last row's sep.
+    """
+    row = b""
+    masks = []  # (first column, end column, rows to keep them in)
+    numbers = []  # (first digit column, magnitudes, digit columns)
+    for part in (*parts, sep.encode("ascii")):
+        if type(part) is bytes:
+            row += part
+        elif type(part) is tuple:
+            literal, mask = part
+            masks.append((len(row), len(row) + len(literal), mask))
+            row += literal
+        else:
+            # negated in the unsigned type of the same or a larger size,
+            # so -2**63 and 2**64 - 1 have exact magnitudes
+            neg = part < 0
+            mag = part.astype(np.uint64 if part.itemsize > 4 else np.uint32)
+            np.negative(mag, out=mag, where=neg)
+            digits = len(str(mag.max()))
+            masks.append((len(row), len(row) + 1, neg))
+            numbers.append((len(row) + 1, mag, digits))
+            row += b"-" + b"0" * digits
+    rows, width = len(masks[0][2]), len(row)
+    text = np.frombuffer(bytearray(row) * rows, np.uint8).reshape(rows, width)
+    keep = np.ones((rows, width), bool)
+    for lo, hi, mask in masks:
+        keep[:, lo:hi] = mask[:, None]
+    for lo, mag, digits in numbers:
+        for col in range(lo + digits - 1, lo, -1):
+            quot = mag // 10
+            text[:, col] = mag - quot * 10 + ord("0")
+            mag = quot
+            np.not_equal(mag, 0, out=keep[:, col - 1])
+        text[:, lo] = mag + ord("0")
+    keep[-1, width - len(sep) :] = False
+    return text.ravel()[keep.ravel()].tobytes().decode("ascii")
 
 
 def config_hash(config: dict) -> str:
@@ -181,8 +237,15 @@ def sweep_csv(report, header: list[str]) -> str:
 
 def ff_csv(report, header: list[str]) -> str:
     """CSV of a function-field oscillation report, one row per degree."""
-    rows = (
-        (pt.t, pt.pi_K, pt.c_r, pt.ratio.numerator, pt.ratio.denominator, pt.tag)
-        for pt in report.series
-    )
+    rows = map(_ff_row, report.series)
     return _csv(header, "t,pi_K,C_r,ratio_num,ratio_den,subsequence_tag", rows)
+
+
+def _ff_row(pt) -> tuple:
+    """A series point's CSV fields.  pi_K and C_r are turned into text
+    once: where the ratio's denominator is pi_K, gcd(C_r, pi_K) = 1 and
+    the ratio's fields are the same two texts."""
+    pi_k, c_r = str(pt.pi_K), str(pt.c_r)
+    if pt.ratio.denominator == pt.pi_K:
+        return pt.t, pi_k, c_r, c_r, pi_k, pt.tag
+    return pt.t, pi_k, c_r, pt.ratio.numerator, pt.ratio.denominator, pt.tag

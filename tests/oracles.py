@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
+from itertools import product
 from math import gcd, isqrt
 
 import numpy as np
@@ -73,6 +74,31 @@ def naive_order(a: int, m: int) -> int:
 
 def brute_v_s(s: int, l: int) -> int:
     return sum(1 for x in range(l) if pow(x, s, l) == 1 % l)
+
+
+def unit_root_count(factors: dict[int, int], s: int) -> int:
+    """Solutions of x**s = 1 mod l = prod(p**e), from the cyclic factors
+    of (Z/l)^*: one of order (p - 1) * p**(e - 1) per odd p, and for p = 2
+    one of order 2**(e - 1) when e <= 2, or two of orders 2 and 2**(e - 2)
+    when e >= 3.  A cyclic group of order c has gcd(s, c) solutions."""
+    count = 1
+    for p, e in factors.items():
+        if p > 2:
+            orders = [(p - 1) * p ** (e - 1)]
+        else:
+            orders = [2 ** (e - 1)] if e <= 2 else [2, 2 ** (e - 2)]
+        for c in orders:
+            count *= gcd(s, c)
+    return count
+
+
+def divisor_sum_I(factors: dict[int, int], s: int) -> int:
+    """Mean of gcd(m, p**s - 1) over primes, m = prod(p**e): the sum of
+    unit_root_count over every divisor of m, one divisor at a time."""
+    total = 0
+    for exps in product(*(range(e + 1) for e in factors.values())):
+        total += unit_root_count({p: k for p, k in zip(factors, exps) if k}, s)
+    return total
 
 
 def naive_primes(t: int) -> list[int]:
@@ -361,6 +387,24 @@ def line_by_line_dot(successor: list[int], tails: list[int], header=()) -> str:
     for i, j in enumerate(successor):
         text += "  " + str(i) + " -> " + str(j) + ";\n"
     return text + "}\n"
+
+
+def fstring_dot(successor, tails, header=(), block: int = 2**16) -> str:
+    """The DOT text of a functional graph from its successor and tail-length
+    arrays, with an f-string per line: the node lines and then the edge
+    lines are made and joined `block` nodes at a time."""
+    q = len(successor)
+    parts = ["digraph state_space {", *(f"  // {text}" for text in header)]
+    for lo in range(0, q, block):
+        rows = enumerate(tails[lo : lo + block].tolist(), lo)
+        lines = [f"  {i} [peripheries=2];" if t == 0 else f"  {i};" for i, t in rows]
+        parts.append("\n".join(lines))
+    for lo in range(0, q, block):
+        rows = enumerate(successor[lo : lo + block].tolist(), lo)
+        lines = [f"  {i} -> {j};" for i, j in rows]
+        parts.append("\n".join(lines))
+    parts.append("}")
+    return "\n".join(parts) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -257,6 +257,9 @@ REPORT_DIGESTS = [
     # 65537 nodes: both per-node writers cross a JOIN_BLOCK boundary
     ("graph --q 65537 --n 3", 0, "a49caf7a16081cb3a74acf15389c3d79"),
     ("graph --q 65537 --n 3 --format dot", 0, "b1e24e1a131e0c8be18ffe57d9a8d9be"),
+    # tails, 65534 cycle ids of -1 and the 2**16 block cut
+    ("graph --q 65537 --n 2 --a 3", 0, "3345b12f681867207303996d51f3dd70"),
+    ("graph --q 65537 --n 2 --a 3 --format dot", 0, "5518bde7a59936caddcade91627a7d5d"),
     (
         "sweep --r 2 --s 2 --n 3 --t 5000 --checkpoints 100,1000",
         0,

@@ -5,7 +5,7 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monodyn import finite_field, graph_engine, monomial, reporting
@@ -32,6 +32,7 @@ from monodyn.reporting import envelope, render_json
 from oracles import digits as oracle_digits
 from oracles import (
     exact_periods_by_iteration,
+    fstring_dot,
     jsonable,
     line_by_line_dot,
     member_scan_strongly_connected,
@@ -509,6 +510,26 @@ class TestExports:
                 struct.successor.tolist(), struct.tail_length.tolist(), ("h",)
             )
             assert export_dot(struct, ("h",)) == want, q
+
+    @settings(max_examples=150)
+    @given(
+        shape=st.sampled_from(SHAPES),
+        q=st.integers(min_value=1, max_value=200),
+        draws=st.lists(st.integers(min_value=0, max_value=10**6), max_size=200),
+        block=st.sampled_from([1, 2, 3, 7, 64, 2**16]),
+        header=st.lists(st.text(max_size=8), max_size=2).map(tuple),
+    )
+    def test_dot_matches_fstring_writer(self, shape, q, draws, block, header):
+        # random maps and long paths have tails; one cycle and fixed points do not
+        succ = np.array(shaped_map(shape, q, draws), dtype=np.int32)
+        comp, cyc, tail, cycles = decompose(succ)
+        struct = graph_engine.OrbitStructure(
+            q, 2, 1, succ, comp, cyc, tail, cycles, {}, {}, len(cycles), 0
+        )
+        want = fstring_dot(succ, tail, header, block)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reporting, "JOIN_BLOCK", block)
+            assert export_dot(struct, header) == want, (shape, q, block)
 
     def test_json_round_trip(self):
         struct = build(system(9, 2, a_index=4))

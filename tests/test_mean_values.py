@@ -25,10 +25,13 @@ from monodyn.numtheory import SIEVE_CAP, divisors, max_exponent, v_s
 from oracles import (
     analytic_C_mean,
     brute_v_s,
+    divisor_sum_I,
     naive_divisors,
+    naive_factor,
     naive_is_prime,
     naive_primes,
     scalar_sweep_total,
+    unit_root_count,
 )
 
 
@@ -49,6 +52,33 @@ class TestAnalyticI:
     )
     def test_is_divisor_sum_of_unit_power_counts(self, m, s):
         assert analytic_I(m, s) == sum(brute_v_s(s, l) for l in naive_divisors(m))
+
+    def test_unit_root_oracle_is_brute_count(self):
+        for l in range(1, 400):
+            for s in (1, 2, 3, 4, 6, 12):
+                assert unit_root_count(naive_factor(l), s) == brute_v_s(s, l), (l, s)
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 6, 12, 2**40])
+    def test_prime_power_product_is_divisor_sum(self, s):
+        for m in range(1, 3000):
+            assert analytic_I(m, s) == divisor_sum_I(naive_factor(m), s), (m, s)
+        for m, factors in BIG_MODULI:
+            assert analytic_I(m, s) == divisor_sum_I(factors, s), (m, s)
+
+
+#: Moduli with thousands of divisors or two large prime factors, factored
+#: by hand; the test below proves each factorization.
+BIG_MODULI = [
+    (2**60 - 1, {3: 2, 5: 2, 7: 1, 11: 1, 13: 1, 31: 1, 41: 1, 61: 1, 151: 1, 331: 1, 1321: 1}),
+    (3**30 - 1, {2: 3, 7: 1, 11: 2, 13: 1, 31: 1, 61: 1, 271: 1, 4561: 1}),
+    (2**62 - 1, {3: 1, 715827883: 1, 2147483647: 1}),
+]
+
+
+def test_big_moduli_factorizations():
+    for m, factors in BIG_MODULI:
+        assert math.prod(p**e for p, e in factors.items()) == m
+        assert all(naive_is_prime(p) for p in factors)
 
 
 class TestAnalyticN:

@@ -115,8 +115,11 @@ awkward_text = st.one_of(
     st.text(),
     st.sampled_from(['"', "\\", 'a"b\\c', "\x00\x1f\n\t\r", "é", "\u2028", "😀", ""]),
 )
+#: Every signed and unsigned integer dtype, either byte order; the
+#: elements span each dtype's whole range.
+int_dtypes = st.one_of(hnp.integer_dtypes(), hnp.unsigned_integer_dtypes())
 int_arrays = st.one_of(
-    hnp.arrays(st.sampled_from([np.int32, np.int64]), st.integers(0, 40)),
+    hnp.arrays(int_dtypes, st.integers(0, 40)),
     hnp.arrays(np.int32, st.just(0)),
 )
 leaves = st.one_of(
@@ -171,6 +174,28 @@ class TestRenderer:
             arr = np.arange(-3, k - 3, dtype=np.int32)
             for doc in ({"a": arr}, {"a": arr.tolist()}, [arr, tuple(arr.tolist())]):
                 assert render_json(doc) == stdlib_render(doc), k
+
+    @settings(max_examples=200)
+    @given(arr=int_arrays, block=st.integers(1, 9))
+    def test_int_arrays_cross_join_blocks(self, arr, block):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reporting, "JOIN_BLOCK", block)
+            doc = {"a": arr, "b": [arr, [arr]]}
+            assert render_json(doc) == stdlib_render(doc)
+
+    @pytest.mark.parametrize(
+        "dtype",
+        [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64],
+    )
+    def test_dtype_extremes(self, monkeypatch, dtype):
+        # -2**63 and 2**64 - 1 among them; a block cut of 3 splits the array
+        monkeypatch.setattr(reporting, "JOIN_BLOCK", 3)
+        lo, hi = int(np.iinfo(dtype).min), int(np.iinfo(dtype).max)
+        values = [lo, hi, 0, 1, lo + 1, hi - 1, lo // 10, hi // 10, 9, 10]
+        arr = np.array(values + [v for v in (-1, -9, -10) if v >= lo], dtype=dtype)
+        doc = {"xs": arr, "be": arr.astype(arr.dtype.newbyteorder())}
+        assert render_json(doc) == stdlib_render(doc)
+        assert json.loads(render_json(doc))["xs"] == arr.tolist()
 
     @pytest.mark.parametrize(
         "bad",
