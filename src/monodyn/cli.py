@@ -125,12 +125,8 @@ def _config(args) -> dict:
     return {k: v for k, v in vars(args).items() if k not in skip}
 
 
-def _field_for(q: int):
-    return finite_field.make_field(*check_prime_power(q))
-
-
 def _cmd_analyze(args) -> tuple:
-    check_prime_power(args.q)
+    p, s = check_prime_power(args.q)
     prof = monomial.profile(args.q, args.n)
     result = {
         "q": args.q,
@@ -141,11 +137,11 @@ def _cmd_analyze(args) -> tuple:
         "fixed_point_system": monomial.is_fixed_point_system(args.q, args.n),
         "periodic_by_period": prof.per_period,
         "cycles_by_length": prof.per_length,
-        "periodic_total": prof.total_periodic,
-        "cycle_total": prof.total_cycles,
+        "periodic_total": sum(prof.per_period.values()),
+        "cycle_total": sum(prof.per_length.values()),
     }
     if args.a != 1 or args.brute:
-        spec = _field_for(args.q)
+        spec = finite_field.make_field(p, s)
         sys_ = graph_engine.monomial_system(spec, args.n, args.a)
         if args.brute:
             st = graph_engine.build(sys_)
@@ -162,12 +158,12 @@ def _cmd_analyze(args) -> tuple:
 
 
 def _cmd_graph(args) -> tuple:
-    spec = _field_for(args.q)
+    spec = finite_field.make_field(*check_prime_power(args.q))
     sys_ = graph_engine.monomial_system(spec, args.n, args.a)
     st = graph_engine.build(sys_)
     if args.format == "dot":
         return _config(args), st, graph_engine.export_dot
-    return _config(args), graph_engine.orbit_document(st), None
+    return _config(args), graph_engine.orbit_document(sys_, st), None
 
 
 def _parse_checkpoints(text: str | None) -> list[int] | None:

@@ -88,14 +88,14 @@ class Cycle:
 @dataclass
 class OrbitStructure:
     """Full decomposition of the state space; immutable once built.
+    It describes the functional graph alone: the system that made it
+    stays with the caller.
 
     The per-node fields are int32 arrays of length q, indexed by
     element index.
     """
 
     q: int
-    n: int
-    a_index: int
     successor: np.ndarray  # index of f(x)
     component_id: np.ndarray  # components numbered by their smallest member
     cycle_id: np.ndarray  # index into cycles, -1 off-cycle
@@ -230,8 +230,6 @@ def build(sys: DynSystem) -> OrbitStructure:
     p_brute = {r: r * m for r, m in c_brute.items()}
     return OrbitStructure(
         q=spec.q,
-        n=sys.n,
-        a_index=sys.a_index,
         successor=succ,
         component_id=comp,
         cycle_id=cyc,
@@ -332,12 +330,8 @@ def check_order_characterization(
 
 @dataclass(frozen=True)
 class DichotomyReport:
-    q: int
-    n: int
-    a_index: int
     has_nonzero_fixed: bool  # a is an (n-1)-th power; decides which facts apply
     periodic_total: int
-    expected_periodic: int
     totals_match: bool
     formula_match: bool | None  # None when the closed forms do not apply
 
@@ -350,47 +344,48 @@ def dichotomy_report(
     exactly on the power side, while the periodic-point total
     q*(n) + 1 holds for every nonzero coefficient.
 
-    With strict=True a failed guarantee raises InvariantViolation;
-    callers that merely want the verdict pass strict=False.
+    This is the one place where a built structure is compared with the
+    closed forms; the verification sweeps read its verdict.  With
+    strict=True a failed guarantee raises InvariantViolation; callers
+    that merely want the verdict pass strict=False.
     """
     spec = sys.field
-    q, n = spec.q, sys.n
-    in_image = is_mth_power(spec, sys.a_index, n - 1)
-    expected = monomial.q_star(q, n) + 1
-    totals_ok = st.periodic_total == expected
+    q, n, a = spec.q, sys.n, sys.a_index
+    # 1 lies in every subgroup, so coefficient 1 needs no field power
+    in_image = a == 1 or is_mth_power(spec, a, n - 1)
+    totals_ok = st.periodic_total == monomial.q_star(q, n) + 1
     formula_ok = None
     if in_image:  # build derives p_brute and component_count from c_brute
         formula_ok = st.c_brute == monomial.profile(q, n).per_length
-    rep = DichotomyReport(
-        q, n, st.a_index, in_image, st.periodic_total, expected, totals_ok, formula_ok
-    )
+    rep = DichotomyReport(in_image, st.periodic_total, totals_ok, formula_ok)
     if strict and (not totals_ok or formula_ok is False):
-        raise InvariantViolation(f"dichotomy check failed: {rep}")
+        raise InvariantViolation(
+            f"dichotomy check failed for q={q}, n={n}, a={a}: {rep}"
+        )
     return rep
 
 
 def export_dot(st: OrbitStructure, header: tuple[str, ...] = ()) -> str:
     """GraphViz rendering; nodes on a cycle are drawn with two rings.
 
-    The node lines and then the edge lines are written by
-    `reporting._text_rows`, `reporting.JOIN_BLOCK` nodes at a time, so
-    no more than one block of their bytes is held beside the text."""
+    Each block of `reporting.JOIN_BLOCK` nodes writes its node lines and
+    its edge lines with `reporting._text_rows`, so no more than one
+    block of their bytes is held beside the text; all node lines come
+    before all edge lines."""
     block = reporting.JOIN_BLOCK
-    parts = ["digraph state_space {", *(f"  // {text}" for text in header)]
+    nodes, edges = [], []
     for lo in range(0, st.q, block):
         ids = np.arange(lo, min(lo + block, st.q), dtype=np.int32)
         ring = (b" [peripheries=2]", st.tail_length[lo : lo + block] == 0)
-        parts.append(reporting._text_rows([b"  ", ids, ring, b";"], "\n"))
-    for lo in range(0, st.q, block):
-        ids = np.arange(lo, min(lo + block, st.q), dtype=np.int32)
         succ = st.successor[lo : lo + block]
-        parts.append(reporting._text_rows([b"  ", ids, b" -> ", succ, b";"], "\n"))
-    parts.append("}\n")
-    return "\n".join(parts)
+        nodes.append(reporting._text_rows([b"  ", ids, ring, b";"], "\n"))
+        edges.append(reporting._text_rows([b"  ", ids, b" -> ", succ, b";"], "\n"))
+    comments = (f"  // {text}" for text in header)
+    return "\n".join(["digraph state_space {", *comments, *nodes, *edges, "}\n"])
 
 
-def orbit_document(st: OrbitStructure) -> dict:
-    """JSON-ready view of the decomposition.
+def orbit_document(sys: DynSystem, st: OrbitStructure) -> dict:
+    """JSON-ready view of the decomposition of sys.
 
     The per-node lists are the structure's own int32 arrays, handed
     through as they are: `reporting.render_json` writes an integer
@@ -400,8 +395,8 @@ def orbit_document(st: OrbitStructure) -> dict:
     return {
         "kind": "orbit_structure",
         "q": st.q,
-        "n": st.n,
-        "a_index": st.a_index,
+        "n": sys.n,
+        "a_index": sys.a_index,
         "successor": st.successor,
         "cycles": st.cycles,
         "node_info": {

@@ -114,8 +114,6 @@ class CycleProfile:
     r_hat: int
     per_period: dict[int, int]  # period -> points of that exact period
     per_length: dict[int, int]  # length -> number of cycles
-    total_periodic: int
-    total_cycles: int
 
 
 def profile(q: int, n: int) -> CycleProfile:
@@ -143,4 +141,4 @@ def profile(q: int, n: int) -> CycleProfile:
         raise InvariantViolation(
             f"profile total {total} != q*(n) + 1 = {expected} for (q={q}, n={n})"
         )
-    return CycleProfile(rh, per_period, per_length, total, sum(per_length.values()))
+    return CycleProfile(rh, per_period, per_length)

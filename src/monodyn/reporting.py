@@ -95,13 +95,9 @@ def _render_dict(obj: dict, pad: str, put) -> None:
     inner = pad + "  "
     opening = "{" + inner
     for k, v in obj.items():
-        head = opening + encode_basestring_ascii(k) + ": "
+        put(opening + encode_basestring_ascii(k) + ": ")
         opening = "," + inner
-        if type(v) is int:
-            put(head + str(v))
-        else:
-            put(head)
-            _render(v, inner, put)
+        _render(v, inner, put)
     put(pad + "}")
 
 
@@ -220,7 +216,8 @@ def _csv(header: list[str], columns: str, rows) -> str:
     lines = [f"# {h}" for h in header]
     lines.append(columns)
     lines.extend(",".join(map(str, row)) for row in rows)
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
 
 
 def sweep_csv(report, header: list[str]) -> str:

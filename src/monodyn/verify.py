@@ -46,7 +46,8 @@ class CheckResult:
 
 def structure_sweep(q_limit: int, n_max: int) -> tuple[list, dict]:
     """Compare the closed-form cycle profile with brute force on every
-    prime power q <= q_limit and every exponent 2 <= n <= n_max.
+    prime power q <= q_limit and every exponent 2 <= n <= n_max, by the
+    verdict of `graph_engine.dichotomy_report`.
 
     Also checks the structural predicates: the full graph is never
     weakly connected, the nonzero part is weakly connected iff q* = 1,
@@ -65,21 +66,23 @@ def structure_sweep(q_limit: int, n_max: int) -> tuple[list, dict]:
             systems += 1
             sys_ = graph_engine.monomial_system(spec, n)
             st = graph_engine.build(sys_)
-            prof = monomial.profile(q, n)
-            if st.c_brute != prof.per_length:  # p_brute is derived from it
+            verdict = graph_engine.dichotomy_report(sys_, st, strict=False)
+            if not verdict.formula_match:
+                prof = monomial.profile(q, n)
                 failures.append(("formula", q, n, st.p_brute, prof.per_period))
             qs = monomial.q_star(q, n)
+            rh = monomial.r_hat(q, n)
             preds = (
                 not graph_engine.is_connected(st),
                 graph_engine.star_connected(st) == (qs == 1),
                 graph_engine.star_strongly_connected(st) == (q == 2),
                 monomial.is_fixed_point_system(q, n)
-                == (prof.r_hat == 1)
+                == (rh == 1)
                 == (max(st.c_brute) == 1),
-                st.periodic_total == qs + 1,
+                verdict.totals_match,
                 all(
                     monomial.has_r_periodic(q, n, r) == (r in st.c_brute)
-                    for r in divisors(prof.r_hat)[1:]
+                    for r in divisors(rh)[1:]
                 ),
             )
             if not all(preds):

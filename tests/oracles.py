@@ -389,24 +389,6 @@ def line_by_line_dot(successor: list[int], tails: list[int], header=()) -> str:
     return text + "}\n"
 
 
-def fstring_dot(successor, tails, header=(), block: int = 2**16) -> str:
-    """The DOT text of a functional graph from its successor and tail-length
-    arrays, with an f-string per line: the node lines and then the edge
-    lines are made and joined `block` nodes at a time."""
-    q = len(successor)
-    parts = ["digraph state_space {", *(f"  // {text}" for text in header)]
-    for lo in range(0, q, block):
-        rows = enumerate(tails[lo : lo + block].tolist(), lo)
-        lines = [f"  {i} [peripheries=2];" if t == 0 else f"  {i};" for i, t in rows]
-        parts.append("\n".join(lines))
-    for lo in range(0, q, block):
-        rows = enumerate(successor[lo : lo + block].tolist(), lo)
-        lines = [f"  {i} -> {j};" for i, j in rows]
-        parts.append("\n".join(lines))
-    parts.append("}")
-    return "\n".join(parts) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # function-field counts by their literal definitions
 

@@ -32,7 +32,6 @@ from monodyn.reporting import envelope, render_json
 from oracles import digits as oracle_digits
 from oracles import (
     exact_periods_by_iteration,
-    fstring_dot,
     jsonable,
     line_by_line_dot,
     member_scan_strongly_connected,
@@ -437,7 +436,7 @@ class TestDichotomy:
                     sys = system(q, n, a)
                     rep = dichotomy_report(sys, build(sys))
                     assert rep.totals_match
-                    assert rep.expected_periodic == monomial.q_star(q, n) + 1
+                    assert rep.periodic_total == monomial.q_star(q, n) + 1
 
     def test_strictness(self):
         sys = system(7, 2)
@@ -445,8 +444,6 @@ class TestDichotomy:
         # a deliberately corrupted structure must trip strict mode
         broken = type(struct)(
             q=struct.q,
-            n=struct.n,
-            a_index=struct.a_index,
             successor=struct.successor,
             component_id=struct.component_id,
             cycle_id=struct.cycle_id,
@@ -472,6 +469,13 @@ class TestDichotomy:
         assert rep.formula_match is False
         assert rep.totals_match is True
         with pytest.raises(InvariantViolation):
+            dichotomy_report(sys, wrong)
+
+    def test_strict_raise_names_the_system(self):
+        # 2 * x**3 on GF(7): the report carries no q, n or a, so the message does
+        sys = system(7, 3, a_index=2)
+        wrong = dataclasses.replace(build(sys), c_brute={2: 2})
+        with pytest.raises(InvariantViolation, match=r"q=7, n=3, a=2\b"):
             dichotomy_report(sys, wrong)
 
 
@@ -519,21 +523,22 @@ class TestExports:
         block=st.sampled_from([1, 2, 3, 7, 64, 2**16]),
         header=st.lists(st.text(max_size=8), max_size=2).map(tuple),
     )
-    def test_dot_matches_fstring_writer(self, shape, q, draws, block, header):
+    def test_dot_of_any_map_matches_line_by_line(self, shape, q, draws, block, header):
         # random maps and long paths have tails; one cycle and fixed points do not
         succ = np.array(shaped_map(shape, q, draws), dtype=np.int32)
         comp, cyc, tail, cycles = decompose(succ)
         struct = graph_engine.OrbitStructure(
-            q, 2, 1, succ, comp, cyc, tail, cycles, {}, {}, len(cycles), 0
+            q, succ, comp, cyc, tail, cycles, {}, {}, len(cycles), 0
         )
-        want = fstring_dot(succ, tail, header, block)
+        want = line_by_line_dot(succ.tolist(), tail.tolist(), header)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(reporting, "JOIN_BLOCK", block)
             assert export_dot(struct, header) == want, (shape, q, block)
 
     def test_json_round_trip(self):
-        struct = build(system(9, 2, a_index=4))
-        doc = json.loads(render_json(orbit_document(struct)))
+        sys = system(9, 2, a_index=4)
+        struct = build(sys)
+        doc = json.loads(render_json(orbit_document(sys, struct)))
         assert doc["successor"] == struct.successor.tolist()
         assert doc["q"] == 9 and doc["n"] == 2 and doc["a_index"] == 4
         assert doc["aggregates"]["periodic_total"] == struct.periodic_total
@@ -555,8 +560,8 @@ class TestExports:
                 for v in node:
                     walk(v)
 
-        struct = build(system(25, 4, a_index=3))
-        walk(json.loads(render_json(orbit_document(struct))))
+        sys = system(25, 4, a_index=3)
+        walk(json.loads(render_json(orbit_document(sys, build(sys)))))
 
     def test_json_of_int32_structure_matches_stdlib(self, capsys):
         # q > INTP_NODES: the decomposition runs on int32 index arrays
@@ -564,7 +569,8 @@ class TestExports:
         assert q > graph_engine.INTP_NODES
         assert main(["graph", "--q", str(q), "--n", str(n), "--a", str(a)]) == 0
         out = capsys.readouterr().out
-        doc = orbit_document(build(system(q, n, a)))
+        sys = system(q, n, a)
+        doc = orbit_document(sys, build(sys))
         assert doc["successor"].dtype == np.int32
         ref = dict(doc, successor=doc["successor"].tolist())
         ref["node_info"] = {k: v.tolist() for k, v in doc["node_info"].items()}

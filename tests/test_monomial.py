@@ -170,8 +170,8 @@ class TestProfile:
         assert prof.r_hat == 2
         assert prof.per_period == {1: 2, 2: 2}
         assert prof.per_length == {1: 2, 2: 1}
-        assert prof.total_periodic == 4
-        assert prof.total_cycles == 3
+        assert sum(prof.per_period.values()) == 4
+        assert sum(prof.per_length.values()) == 3
 
     def test_golden_19_2(self):
         prof = profile(19, 2)
@@ -184,8 +184,8 @@ class TestProfile:
     def test_golden_2_2(self):
         prof = profile(2, 2)
         assert prof.per_period == {1: 2}
-        assert prof.total_periodic == 2
-        assert prof.total_cycles == 2
+        assert sum(prof.per_period.values()) == 2
+        assert sum(prof.per_length.values()) == 2
 
     @given(st.sampled_from(PRIME_POWERS), st.integers(min_value=2, max_value=16))
     def test_profile_consistency(self, q, n):
@@ -194,9 +194,9 @@ class TestProfile:
         for r, cnt in prof.per_period.items():
             assert r_hat(q, n) % r == 0
             assert cnt == prof.per_length[r] * r
-        assert prof.total_periodic == q_star(q, n) + 1
+        assert sum(prof.per_period.values()) == q_star(q, n) + 1
         cycles = sum(cycle_count(q, n, r) for r in divisors(r_hat(q, n)))
-        assert prof.total_cycles == cycles
+        assert sum(prof.per_length.values()) == cycles
         assert max(prof.per_period) == prof.r_hat
 
     def test_keys_are_occurring_lengths_only(self):
