@@ -82,7 +82,7 @@ def monomial_system(field: FieldSpec, n: int, a_index: int = 1) -> DynSystem:
 @dataclass(frozen=True)
 class Cycle:
     length: int
-    members: tuple[int, ...]
+    members: np.ndarray  # int32 view of the one listing of all cycles
 
 
 @dataclass
@@ -98,7 +98,6 @@ class OrbitStructure:
     q: int
     successor: np.ndarray  # index of f(x)
     component_id: np.ndarray  # components numbered by their smallest member
-    cycle_id: np.ndarray  # index into cycles, -1 off-cycle
     tail_length: np.ndarray  # steps to the periodic part, 0 exactly on it
     cycles: list[Cycle]  # cycle k lies in component k
     p_brute: dict[int, int]  # exact period -> number of points
@@ -129,14 +128,13 @@ def successor_array(sys: DynSystem) -> np.ndarray:
     return out
 
 
-def decompose(
-    succ: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[Cycle]]:
-    """Component ids, cycle ids, tail lengths and cycles of a functional graph.
+def decompose(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[Cycle]]:
+    """Component ids, tail lengths and cycles of a functional graph.
 
     succ is an integer array with 0 <= succ[i] < len(succ) < 2**31.
-    The three per-node results are int32 arrays; the cycles come in
-    component order, each listed as the module docstring describes.
+    The two per-node results are int32 arrays; the cycles come in
+    component order, each listed as the module docstring describes, and
+    their members are consecutive slices of one int32 listing.
     """
     q = len(succ)
     itype = np.intp if q <= INTP_NODES else np.int32
@@ -208,31 +206,27 @@ def decompose(
     comp = slot[root].astype(np.int32, copy=False)
     del root, entry, lowest, slot
 
-    cyc = np.full(q, -1, dtype=np.int32)
     k = comp[per]
-    cyc[per] = k
     offsets = np.cumsum(sizes) - sizes
-    flat = np.empty(m, dtype=itype)
+    flat = np.empty(m, dtype=np.int32)
     flat[offsets[k] + (start[k] - dist) % sizes[k]] = per
-    flat = flat.tolist()
     cycles = [
-        Cycle(size, tuple(flat[o : o + size]))
+        Cycle(size, flat[o : o + size])
         for o, size in zip(offsets.tolist(), sizes.tolist())
     ]
-    return comp, cyc, tail, cycles
+    return comp, tail, cycles
 
 
 def build(sys: DynSystem) -> OrbitStructure:
     spec = sys.field
     succ = successor_array(sys)
-    comp, cyc, tail, cycles = decompose(succ)
+    comp, tail, cycles = decompose(succ)
     c_brute = dict(sorted(Counter(c.length for c in cycles).items()))
     p_brute = {r: r * m for r, m in c_brute.items()}
     return OrbitStructure(
         q=spec.q,
         successor=succ,
         component_id=comp,
-        cycle_id=cyc,
         tail_length=tail,
         cycles=cycles,
         p_brute=p_brute,
@@ -293,14 +287,14 @@ def check_order_characterization(
     q, n = spec.q, sys.n
     qs = monomial.q_star(q, n)
     all_orders = element_orders(spec)
-    cyc = st.cycle_id
+    comp = st.component_id
     # index i of the nonzero points sits at position i - 1
     orders = all_orders[1:]
     periodic = st.tail_length[1:] == 0
     wrong_kind = periodic != (qs % orders == 0)
     checked = periodic & ~wrong_kind
     lengths = np.array([c.length for c in st.cycles], dtype=np.int64)
-    got = lengths[cyc[1:]]  # -1 reads the last cycle, as list indexing would
+    got = lengths[comp[1:]]  # cycle k lies in component k
     ords = orders[checked]
     present = np.bincount(ords)
     table = np.zeros(len(present), dtype=np.int64)  # order -> cycle length
@@ -320,10 +314,10 @@ def check_order_characterization(
             failure = f"index {i}: cycle length {got[j]}, expected {want[j]} for order {o}"
     if failure is None:
         # the cycle through 0 is skipped; every other cycle keeps one order
-        on = (cyc >= 0) & (cyc != cyc[0])
+        on = (st.tail_length == 0) & (comp != comp[0])
         mixed = on & (all_orders != all_orders[st.successor])
         if mixed.any():
-            first = st.cycles[int(cyc[mixed].min())]
+            first = st.cycles[int(comp[mixed].min())]
             failure = f"cycle through {first.members[0]} mixes element orders"
     return OrderCheckReport(failure is None, failure)
 
@@ -387,10 +381,10 @@ def export_dot(st: OrbitStructure, header: tuple[str, ...] = ()) -> str:
 def orbit_document(sys: DynSystem, st: OrbitStructure) -> dict:
     """JSON-ready view of the decomposition of sys.
 
-    The per-node lists are the structure's own int32 arrays, handed
-    through as they are: `reporting.render_json` writes an integer
-    array with its numpy text kernel, so no per-node Python ints are
-    made for them.
+    The per-node lists are int32 arrays, handed through as they are:
+    `reporting.render_json` writes an integer array with its numpy text
+    kernel, so no per-node Python ints are made for them.  cycle_id is
+    derived from the tail lengths and component ids, -1 off the cycles.
     """
     return {
         "kind": "orbit_structure",
@@ -401,7 +395,7 @@ def orbit_document(sys: DynSystem, st: OrbitStructure) -> dict:
         "cycles": st.cycles,
         "node_info": {
             "component_id": st.component_id,
-            "cycle_id": st.cycle_id,
+            "cycle_id": np.where(st.tail_length == 0, st.component_id, -1),
             "tail_length": st.tail_length,
         },
         "aggregates": census(st),

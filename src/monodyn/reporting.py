@@ -9,10 +9,11 @@ configuration so identical runs produce byte-identical files.
 `_render` maps a result object to JSON as it writes, one node at a
 time, by the exact-type rules in its docstring, in the two-space-indent
 layout of `json.dumps(..., indent=2)`.  A list of exact ints becomes
-text by str, JOIN_BLOCK items per join.  An int array becomes text in
-`_text_rows`, the one numpy text kernel, JOIN_BLOCK items per pass, as
-do the node and edge lines of `graph_engine.export_dot`; no per-item
-Python int or str is made.  `_csv` is the one CSV layout.
+text by str, JOIN_BLOCK items per join, as does an int array shorter
+than KERNEL_MIN.  A longer one becomes text in `_text_rows`, the one
+numpy text kernel, JOIN_BLOCK items per pass, as do the node and edge
+lines of `graph_engine.export_dot`; no per-item Python int or str is
+made.  `_csv` is the one CSV layout.
 The tests hold the JSON, byte for byte, to the standard library's
 encoder run on an independent recursive mapping in `tests/oracles.py`.
 """
@@ -34,6 +35,9 @@ SCHEMA = "monodyn/1"
 #: Items of an int list or array turned into text per join or per
 #: `_text_rows` pass; bounds the temporaries of a q-long array.
 JOIN_BLOCK = 2**16
+
+#: Int arrays shorter than this are written by str, which beats a kernel pass.
+KERNEL_MIN = 512
 
 
 def render_json(doc) -> str:
@@ -76,7 +80,8 @@ def _render(obj, pad: str, put) -> None:
     elif kind is np.ndarray:
         if obj.dtype.kind not in "iu":
             raise TypeError(f"refusing to serialize {obj.dtype} array")
-        _render_list(obj if obj.ndim == 1 else obj.tolist(), pad, put)
+        whole = obj.ndim == 1 and len(obj) >= KERNEL_MIN
+        _render_list(obj if whole else obj.tolist(), pad, put)
     else:
         raise TypeError(f"cannot serialize {kind.__name__}")
 

@@ -5,8 +5,8 @@ functional-graph decompositions against Moebius counts, Dirichlet
 means against direct divisor sums, prime sweeps against their limits.
 A check never trusts the code it is checking, so any failure isolates
 a real defect.  Two scopes are provided: quick (a second or two,
-suitable for CI) and full (the acceptance ranges, about 15 s on a
-two-core host).
+suitable for CI) and full (the acceptance ranges, about 10 s on a
+two-core host with --threads 2).
 """
 
 from __future__ import annotations

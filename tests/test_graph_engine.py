@@ -140,19 +140,20 @@ class TestDecomposition:
     def test_tail_lengths_decrease_along_edges(self):
         for q, n, a in ((64, 2, 1), (125, 3, 7), (81, 6, 2), (127, 4, 1)):
             struct = build(system(q, n, a))
+            cycle_of = {int(m): k for k, c in enumerate(struct.cycles) for m in c.members}
             for i, j in enumerate(struct.successor):
                 assert struct.component_id[i] == struct.component_id[j]
                 if struct.tail_length[i] > 0:
                     assert struct.tail_length[i] == struct.tail_length[j] + 1
                 else:
                     assert struct.tail_length[j] == 0
-                    assert struct.cycle_id[i] == struct.cycle_id[j]
+                    assert cycle_of[i] == cycle_of[j] == struct.component_id[i]
 
     def test_cycle_membership_is_consistent(self):
         struct = build(system(49, 3, 5))
         for k, c in enumerate(struct.cycles):
             for m in c.members:
-                assert struct.cycle_id[m] == k
+                assert struct.component_id[m] == k
                 assert struct.tail_length[m] == 0
         on_cycle = sum(c.length for c in struct.cycles)
         assert on_cycle == struct.periodic_total
@@ -177,9 +178,15 @@ class TestDecomposition:
                 assert struct.c_brute == prof.per_length, (q, n)
 
 
-def as_scalar(comp, cyc, tail, cycles) -> tuple:
+def cycle_ids(comp, tail) -> np.ndarray:
+    """The oracle's cycle ids: cycle k lies in component k, -1 off-cycle."""
+    return np.where(tail == 0, comp, -1)
+
+
+def as_scalar(comp, tail, cycles) -> tuple:
     """A decomposition in the oracle's shape: lists and member tuples."""
-    return comp.tolist(), cyc.tolist(), tail.tolist(), [c.members for c in cycles]
+    members = [tuple(c.members.tolist()) for c in cycles]
+    return comp.tolist(), cycle_ids(comp, tail).tolist(), tail.tolist(), members
 
 
 #: Maps that stress the peel depth and the doubling stop rule.
@@ -211,15 +218,31 @@ class TestArrayDecomposition:
             for n in range(2, 17):
                 for a in sorted({1, q - 1, rng.randrange(1, q)}):
                     st_ = build(monomial_system(spec, n, a))
-                    got = as_scalar(st_.component_id, st_.cycle_id, st_.tail_length, st_.cycles)
+                    got = as_scalar(st_.component_id, st_.tail_length, st_.cycles)
                     assert got == scalar_build(st_.successor.tolist()), (q, n, a)
                     assert all(c.length == len(c.members) for c in st_.cycles)
 
     def test_stores_int32_arrays(self):
         st_ = build(system(97, 3))
-        for field in ("successor", "component_id", "cycle_id", "tail_length"):
+        for field in ("successor", "component_id", "tail_length"):
             arr = getattr(st_, field)
             assert arr.dtype == np.int32 and arr.shape == (97,), field
+
+    @pytest.mark.parametrize("intp_nodes", [graph_engine.INTP_NODES, 0])
+    def test_cycle_members_view_one_int32_listing(self, monkeypatch, intp_nodes):
+        # the cycles are slices of one array, in order, covering every
+        # periodic node once; no member is held as a Python int
+        monkeypatch.setattr(graph_engine, "INTP_NODES", intp_nodes)
+        st_ = build(system(211, 5, 3))
+        listing = st_.cycles[0].members.base
+        assert listing is not None and listing.dtype == np.int32
+        assert len(listing) == st_.periodic_total
+        lo = 0
+        for c in st_.cycles:
+            assert c.members.dtype == np.int32 and c.members.base is listing
+            assert c.members.ctypes.data == listing[lo:].ctypes.data, lo
+            lo += c.length
+        assert lo == len(listing)
 
     @pytest.mark.parametrize("intp_nodes", [graph_engine.INTP_NODES, 0])
     @given(
@@ -339,10 +362,10 @@ class TestOrderCharacterization:
     @staticmethod
     def scalar_failure(sys, st_, orders) -> str | None:
         q, n = sys.field.q, sys.n
-        cycles = [(c.length, c.members) for c in st_.cycles]
+        cycles = [(c.length, tuple(c.members.tolist())) for c in st_.cycles]
         return scalar_order_check(
             n, monomial.q_star(q, n), list(orders), st_.tail_length.tolist(),
-            st_.cycle_id.tolist(), cycles,
+            cycle_ids(st_.component_id, st_.tail_length).tolist(), cycles,
         )
 
     def corrupted_orders(self, monkeypatch, orders):
@@ -446,7 +469,6 @@ class TestDichotomy:
             q=struct.q,
             successor=struct.successor,
             component_id=struct.component_id,
-            cycle_id=struct.cycle_id,
             tail_length=struct.tail_length,
             cycles=struct.cycles,
             p_brute={1: 7},
@@ -526,9 +548,9 @@ class TestExports:
     def test_dot_of_any_map_matches_line_by_line(self, shape, q, draws, block, header):
         # random maps and long paths have tails; one cycle and fixed points do not
         succ = np.array(shaped_map(shape, q, draws), dtype=np.int32)
-        comp, cyc, tail, cycles = decompose(succ)
+        comp, tail, cycles = decompose(succ)
         struct = graph_engine.OrbitStructure(
-            q, succ, comp, cyc, tail, cycles, {}, {}, len(cycles), 0
+            q, succ, comp, tail, cycles, {}, {}, len(cycles), 0
         )
         want = line_by_line_dot(succ.tolist(), tail.tolist(), header)
         with pytest.MonkeyPatch.context() as mp:
@@ -548,6 +570,10 @@ class TestExports:
         }
         lengths = [c["length"] for c in doc["cycles"]]
         assert sorted(lengths) == sorted(c.length for c in struct.cycles)
+        # the printed cycle ids and listings against the scalar walk
+        _, cyc, _, cycles = scalar_build(struct.successor.tolist())
+        assert doc["node_info"]["cycle_id"] == cyc
+        assert [c["members"] for c in doc["cycles"]] == [list(m) for m in cycles]
 
     def test_json_has_no_floats(self):
         def walk(node):
@@ -574,6 +600,9 @@ class TestExports:
         assert doc["successor"].dtype == np.int32
         ref = dict(doc, successor=doc["successor"].tolist())
         ref["node_info"] = {k: v.tolist() for k, v in doc["node_info"].items()}
+        ref["cycles"] = [
+            {"length": c.length, "members": c.members.tolist()} for c in doc["cycles"]
+        ]
         config = {"q": q, "n": n, "a": a, "format": "json"}
         expected = json.dumps(jsonable(envelope("graph", config, ref)), indent=2)
         assert out == expected + "\n"

@@ -170,6 +170,7 @@ class TestRenderer:
 
     def test_long_arrays_cross_join_blocks(self, monkeypatch):
         monkeypatch.setattr(reporting, "JOIN_BLOCK", 7)
+        monkeypatch.setattr(reporting, "KERNEL_MIN", 0)  # every array to the kernel
         for k in (0, 1, 6, 7, 8, 14, 15, 50):
             arr = np.arange(-3, k - 3, dtype=np.int32)
             for doc in ({"a": arr}, {"a": arr.tolist()}, [arr, tuple(arr.tolist())]):
@@ -180,6 +181,7 @@ class TestRenderer:
     def test_int_arrays_cross_join_blocks(self, arr, block):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(reporting, "JOIN_BLOCK", block)
+            mp.setattr(reporting, "KERNEL_MIN", 0)
             doc = {"a": arr, "b": [arr, [arr]]}
             assert render_json(doc) == stdlib_render(doc)
 
@@ -190,12 +192,28 @@ class TestRenderer:
     def test_dtype_extremes(self, monkeypatch, dtype):
         # -2**63 and 2**64 - 1 among them; a block cut of 3 splits the array
         monkeypatch.setattr(reporting, "JOIN_BLOCK", 3)
+        monkeypatch.setattr(reporting, "KERNEL_MIN", 0)
         lo, hi = int(np.iinfo(dtype).min), int(np.iinfo(dtype).max)
         values = [lo, hi, 0, 1, lo + 1, hi - 1, lo // 10, hi // 10, 9, 10]
         arr = np.array(values + [v for v in (-1, -9, -10) if v >= lo], dtype=dtype)
         doc = {"xs": arr, "be": arr.astype(arr.dtype.newbyteorder())}
         assert render_json(doc) == stdlib_render(doc)
         assert json.loads(render_json(doc))["xs"] == arr.tolist()
+
+    def test_short_arrays_skip_the_kernel(self, monkeypatch):
+        # a kernel pass costs more than str below KERNEL_MIN items, and a
+        # report can hold one short array per cycle
+        calls = []
+        kernel = reporting._text_rows
+        monkeypatch.setattr(
+            reporting, "_text_rows", lambda *a: calls.append(1) or kernel(*a)
+        )
+        m = reporting.KERNEL_MIN
+        for k, kernel_calls in ((1, 0), (m - 1, 0), (m, 1), (m + 1, 1)):
+            calls.clear()
+            doc = {"xs": np.arange(-2, k - 2, dtype=np.int32)}
+            assert render_json(doc) == stdlib_render(doc), k
+            assert len(calls) == kernel_calls, k
 
     @pytest.mark.parametrize(
         "bad",
