@@ -52,7 +52,7 @@ from .finite_field import (
     mul,
     power,
 )
-from .numtheory import multiplicative_order
+from .numtheory import divisors, multiplicative_order
 
 
 #: Graphs of at most this many nodes are decomposed with intp index
@@ -327,32 +327,58 @@ class DichotomyReport:
     has_nonzero_fixed: bool  # a is an (n-1)-th power; decides which facts apply
     periodic_total: int
     totals_match: bool
-    formula_match: bool | None  # None when the closed forms do not apply
+    formula_match: bool | None  # the census; None when the closed forms do not apply
+    criteria_match: bool | None  # the graph criteria; None where formula_match is
+
+    @property
+    def passed(self) -> bool:
+        """The totals hold and no closed form that applies is False."""
+        return self.totals_match and False not in (self.formula_match, self.criteria_match)
 
 
 def dichotomy_report(
     sys: DynSystem, st: OrbitStructure, strict: bool = True
 ) -> DichotomyReport:
     """Classify the system by whether a is an (n-1)-th power and check
-    what each side guarantees: the closed-form profile transfers
-    exactly on the power side, while the periodic-point total
-    q*(n) + 1 holds for every nonzero coefficient.
+    what each side guarantees.  The periodic total q*(n) + 1 holds for
+    every nonzero coefficient.  On the power side, x -> b*x with
+    b**(n-1) = 1/a conjugates a*x**n to x**n, so the closed forms of x**n
+    transfer: the census (formula_match), and the paper's graph criteria
+    (criteria_match): the full graph is never weakly connected, the
+    nonzero part is weakly connected iff q* = 1 and strongly connected
+    iff q = 2, all cycles are fixed points iff r-hat = 1, and an r-cycle
+    exists iff `has_r_periodic` says so.
 
-    This is the one place where a built structure is compared with the
-    closed forms; the verification sweeps read its verdict.  With
-    strict=True a failed guarantee raises InvariantViolation; callers
-    that merely want the verdict pass strict=False.
+    This is the one verdict on a built structure, read by the sweeps and
+    `analyze --brute`; only `check_order_characterization`, which needs
+    the element-order table, compares one with the closed forms apart.
+    With strict=True a verdict that has not `passed` raises
+    InvariantViolation.
     """
     spec = sys.field
     q, n, a = spec.q, sys.n, sys.a_index
     # 1 lies in every subgroup, so coefficient 1 needs no field power
     in_image = a == 1 or is_mth_power(spec, a, n - 1)
-    totals_ok = st.periodic_total == monomial.q_star(q, n) + 1
-    formula_ok = None
+    qs = monomial.q_star(q, n)
+    totals_ok = st.periodic_total == qs + 1
+    formula_ok = criteria_ok = None
     if in_image:  # build derives p_brute and component_count from c_brute
-        formula_ok = st.c_brute == monomial.profile(q, n).per_length
-    rep = DichotomyReport(in_image, st.periodic_total, totals_ok, formula_ok)
-    if strict and (not totals_ok or formula_ok is False):
+        prof = monomial.profile(q, n)
+        formula_ok = st.c_brute == prof.per_length
+        criteria_ok = (
+            not is_connected(st)
+            and star_connected(st) == (qs == 1)
+            and star_strongly_connected(st) == (q == 2)
+            and monomial.is_fixed_point_system(q, n)
+            == (prof.r_hat == 1)
+            == (max(st.c_brute) == 1)
+            and all(
+                monomial.has_r_periodic(q, n, r) == (r in st.c_brute)
+                for r in divisors(prof.r_hat)[1:]
+            )
+        )
+    rep = DichotomyReport(in_image, st.periodic_total, totals_ok, formula_ok, criteria_ok)
+    if strict and not rep.passed:
         raise InvariantViolation(
             f"dichotomy check failed for q={q}, n={n}, a={a}: {rep}"
         )

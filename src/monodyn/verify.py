@@ -6,7 +6,7 @@ means against direct divisor sums, prime sweeps against their limits.
 A check never trusts the code it is checking, so any failure isolates
 a real defect.  Two scopes are provided: quick (a second or two,
 suitable for CI) and full (the acceptance ranges, about 10 s on a
-two-core host with --threads 2).
+two-core host).  The battery runs in one process.
 """
 
 from __future__ import annotations
@@ -45,17 +45,12 @@ class CheckResult:
 
 
 def structure_sweep(q_limit: int, n_max: int) -> tuple[list, dict]:
-    """Compare the closed-form cycle profile with brute force on every
-    prime power q <= q_limit and every exponent 2 <= n <= n_max, by the
-    verdict of `graph_engine.dichotomy_report`.
-
-    Also checks the structural predicates: the full graph is never
-    weakly connected, the nonzero part is weakly connected iff q* = 1,
-    strongly connected iff q = 2, the system is all fixed points iff
-    r-hat = 1, and an r-cycle (r >= 2, r | r-hat) exists iff the paper's
-    criterion `has_r_periodic` says so; and the element-order
-    characterization of periodic points.  Failures are tagged "formula",
-    "structure" or "orders"; counts are the fields and systems swept.
+    """Judge x -> x**n for every prime power q <= q_limit and exponent
+    2 <= n <= n_max by `graph_engine.dichotomy_report`, and check the
+    element-order characterization of periodic points.  Failures are
+    tagged "formula" (the census, with both censuses), "structure" (the
+    totals or the graph criteria, with the report) or "orders"; counts
+    are the fields and systems swept.
     """
     fields = systems = 0
     failures = []
@@ -70,23 +65,8 @@ def structure_sweep(q_limit: int, n_max: int) -> tuple[list, dict]:
             if not verdict.formula_match:
                 prof = monomial.profile(q, n)
                 failures.append(("formula", q, n, st.p_brute, prof.per_period))
-            qs = monomial.q_star(q, n)
-            rh = monomial.r_hat(q, n)
-            preds = (
-                not graph_engine.is_connected(st),
-                graph_engine.star_connected(st) == (qs == 1),
-                graph_engine.star_strongly_connected(st) == (q == 2),
-                monomial.is_fixed_point_system(q, n)
-                == (rh == 1)
-                == (max(st.c_brute) == 1),
-                verdict.totals_match,
-                all(
-                    monomial.has_r_periodic(q, n, r) == (r in st.c_brute)
-                    for r in divisors(rh)[1:]
-                ),
-            )
-            if not all(preds):
-                failures.append(("structure", q, n, preds))
+            if not (verdict.totals_match and verdict.criteria_match):
+                failures.append(("structure", q, n, verdict))
             rep = graph_engine.check_order_characterization(sys_, st)
             if not rep.passed:
                 failures.append(("orders", q, n, rep.failure))
@@ -96,9 +76,10 @@ def structure_sweep(q_limit: int, n_max: int) -> tuple[list, dict]:
 def dichotomy_sweep(
     q_limit: int, n_max: int, draws: int, seed: int
 ) -> tuple[list, dict]:
-    """Random twisted systems a * x**n: the periodic total must stay
-    q* + 1 (failures tagged "total"), and a nonzero fixed point must
-    exist iff a is an (n-1)-th power (tagged "formula")."""
+    """Random twisted systems a * x**n, judged by `dichotomy_report`:
+    the periodic total must stay q* + 1 (failures tagged "total"), and
+    on the power side the closed forms of x**n, census and graph
+    criteria, must carry over (tagged "formula")."""
     systems = 0
     failures = []
     for q, p, s in prime_powers_up_to(q_limit):
@@ -113,7 +94,7 @@ def dichotomy_sweep(
             rep = graph_engine.dichotomy_report(sys_, st, strict=False)
             if not rep.totals_match:
                 failures.append(("total", q, n, a_index))
-            if rep.formula_match is False:
+            if False in (rep.formula_match, rep.criteria_match):
                 failures.append(("formula", q, n, a_index))
     return failures, {"systems": systems}
 
@@ -166,23 +147,19 @@ def mean_identities(
 CONVERGENCE_TUPLES = ((1, 1, 3), (1, 1, 5), (2, 1, 2), (1, 2, 2))
 
 
-def sweep_convergence(
-    t_small: int, t_big: int, workers: int = 1
-) -> tuple[list, dict]:
+def sweep_convergence(t_small: int, t_big: int) -> tuple[list, dict]:
     """Prime-sweep means must approach their limits as the bound grows.
     Counts hold the bound t."""
     bad = []
     for r, s, n in CONVERGENCE_TUPLES:
-        rep = mean_values.empirical_mean(
-            r, s, n, t_big, checkpoints=[t_small, t_big], workers=workers
-        )
+        rep = mean_values.empirical_mean(r, s, n, t_big, checkpoints=[t_small, t_big])
         err_small = abs(rep.checkpoints[0].mean - rep.analytic)
         err_big = rep.final_abs_error
         close = err_big <= Fraction(1, 50)
         shrinking = err_big < err_small or err_big == 0 == err_small
         if not (close and shrinking):
             bad.append((r, s, n, err_small, err_big))
-    rep = mean_values.empirical_mean(1, 1, 2, t_big, workers=workers)
+    rep = mean_values.empirical_mean(1, 1, 2, t_big)
     if any(cp.mean != 2 for cp in rep.checkpoints):
         bad.append((1, 1, 2, "mean not identically 2"))
     return bad, {"t": t_big}
@@ -267,9 +244,7 @@ PASS_DETAIL = {
 }
 
 
-def run_verification(
-    scope: str, seed: int = 0, threads: int = 1
-) -> tuple[CheckResult, ...]:
+def run_verification(scope: str, seed: int = 0) -> tuple[CheckResult, ...]:
     """Run every check of the battery at one scope.  A check fails by
     returning failures or by raising AssertionError or InvariantViolation;
     any other exception is a defect, not a verdict, and propagates."""
@@ -283,9 +258,6 @@ def run_verification(
         id_rsn, tau_max, vs_lim = (6, 4, 10), 10_000, (5000, 12)
     else:
         raise InputRangeError(f"scope must be 'quick' or 'full', got {scope!r}")
-    top = mean_values.MAX_WORKERS
-    if not 1 <= threads <= top:
-        raise InputRangeError(f"threads must be in [1, {top}], got {threads}")
 
     # a check returns (failures, counts), except the golden checks,
     # which raise on failure and return nothing
@@ -293,7 +265,7 @@ def run_verification(
         ("structure_sweep", lambda: structure_sweep(q_limit, n_max)),
         ("dichotomy_sweep", lambda: dichotomy_sweep(q_limit, n_max, draws, seed)),
         ("mean_identities", lambda: mean_identities(id_rsn, tau_max, vs_lim)),
-        ("sweep_convergence", lambda: sweep_convergence(t_small, t_big, threads)),
+        ("sweep_convergence", lambda: sweep_convergence(t_small, t_big)),
         ("golden_profiles", _check_profiles),
         ("ff_oscillation", _check_oscillation),
         ("ff_dirichlet_means", _check_ff_means),

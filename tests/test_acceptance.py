@@ -1,7 +1,7 @@
 """Acceptance gate: every release criterion as one pass/fail test.
 
 Run with -v to get one line per criterion.  Criteria 3-10 assert on one
-run of `monodyn verify --scope full --threads 4`, time budgets included;
+run of `monodyn verify --scope full`, time budgets included;
 criteria 1, 2 and 4 add worked examples of their own.
 """
 
@@ -25,7 +25,7 @@ def best_of(fn, repeats: int = 200) -> float:
 
 @pytest.fixture(scope="session")
 def battery():
-    return {r.name: r for r in verify.run_verification("full", seed=0, threads=4)}
+    return {r.name: r for r in verify.run_verification("full", seed=0)}
 
 
 def tagged(result, tag: str) -> list:

@@ -94,6 +94,17 @@ class TestAnalyze:
         assert brute["periodic_total"] == 5
         assert brute["match"] is True
 
+    def test_brute_match_reads_the_graph_criteria(self, capsys, monkeypatch):
+        # the census of 2 * x**2 on GF(4) matches, but a criterion that
+        # denies its 2-cycle fails the judge, and "match" says so
+        deny_at(monkeypatch, monodyn.monomial, "has_r_periodic", (4, 2, 2))
+        argv = ("analyze", "--q", "4", "--n", "2", "--a", "2", "--brute")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        brute = json.loads(out)["result"]["brute"]
+        assert brute["cycles_by_length"] == {"1": 2, "2": 1}
+        assert brute["match"] is False
+
     def test_composite_q_rejected(self, capsys):
         code, _, err = run(capsys, "analyze", "--q", "12", "--n", "2")
         assert code == 2
@@ -394,13 +405,9 @@ class TestSweep:
     @pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
     def test_bad_threads_environment_rejected(self, capsys, monkeypatch, value):
         monkeypatch.setenv("MONODYN_THREADS", value)
-        for argv in (
-            ("sweep", "--r", "1", "--n", "2", "--t", "100"),
-            ("verify", "--scope", "quick"),
-        ):
-            code, out, err = run(capsys, *argv)
-            assert code == 2 and out == "", (argv, value)
-            assert err.startswith("error:") and "MONODYN_THREADS" in err
+        code, out, err = run(capsys, "sweep", "--r", "1", "--n", "2", "--t", "100")
+        assert code == 2 and out == "", value
+        assert err.startswith("error:") and "MONODYN_THREADS" in err
 
     @pytest.mark.parametrize("where", ["flag", "environment"])
     def test_threads_over_cap_rejected(self, capsys, monkeypatch, where):
@@ -410,18 +417,15 @@ class TestSweep:
 
         monkeypatch.setattr(monodyn.mean_values, "ProcessPoolExecutor", no_pool)
         too_many = str(monodyn.mean_values.MAX_WORKERS + 1)
-        for argv in (
-            ("sweep", "--r", "1", "--n", "2", "--t", "100"),
-            ("verify", "--scope", "quick"),
-        ):
-            if where == "flag":
-                argv += ("--threads", too_many)
-            else:
-                monkeypatch.setenv("MONODYN_THREADS", too_many)
-            code, out, err = run(capsys, *argv)
-            assert code == 2 and out == "", argv
-            assert err.startswith("error:") and too_many in err
-            assert err.count("\n") == 1
+        argv = ("sweep", "--r", "1", "--n", "2", "--t", "100")
+        if where == "flag":
+            argv += ("--threads", too_many)
+        else:
+            monkeypatch.setenv("MONODYN_THREADS", too_many)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and too_many in err
+        assert err.count("\n") == 1
 
     def test_huge_r_refused_before_any_power(self, capsys):
         # n**r - 1 for r = 10**7 has millions of digits; the cap on r
@@ -590,12 +594,7 @@ class TestVerify:
         assert re.search(r"\(\d+ failures, first: \('structure', ", line), line
 
     def test_existence_criterion_checked_against_brute(self, monkeypatch):
-        real = monodyn.monomial.has_r_periodic
-
-        def lying(q, n, r):
-            return not real(q, n, r) if (q, n, r) == (19, 2, 6) else real(q, n, r)
-
-        monkeypatch.setattr(monodyn.monomial, "has_r_periodic", lying)
+        deny_at(monkeypatch, monodyn.monomial, "has_r_periodic", (19, 2, 6))
         failures, counts = monodyn.verify.structure_sweep(30, 3)
         assert counts == {"fields": 16, "systems": 32}
         assert [f[:3] for f in failures] == [("structure", 19, 2)]
@@ -613,16 +612,6 @@ class TestVerify:
     def test_unknown_scope_rejected(self):
         with pytest.raises(InputRangeError):
             monodyn.verify.run_verification("bogus")
-
-    @pytest.mark.parametrize("threads", [0, 65])
-    def test_worker_count_checked_before_any_check(self, monkeypatch, threads):
-        calls = []
-        monkeypatch.setattr(
-            monodyn.verify, "structure_sweep", lambda *args: calls.append(args)
-        )
-        with pytest.raises(InputRangeError):
-            monodyn.verify.run_verification("quick", threads=threads)
-        assert calls == []
 
     def test_detects_broken_formula(self, capsys, monkeypatch):
         real = monodyn.monomial.periodic_count
@@ -665,6 +654,16 @@ def lie_at(monkeypatch, module, name, key, delta):
 
     def lying(*args):
         return real(*args) + delta if args == key else real(*args)
+
+    monkeypatch.setattr(module, name, lying)
+
+
+def deny_at(monkeypatch, module, name, key):
+    """Make the predicate module.name(*key) give the opposite answer."""
+    real = getattr(module, name)
+
+    def lying(*args):
+        return not real(*args) if args == key else real(*args)
 
     monkeypatch.setattr(module, name, lying)
 
@@ -729,6 +728,13 @@ class TestBatteryFailurePaths:
         lying_graph(monkeypatch, (7, 3, 2), pair_fixed_points)
         failures, _ = monodyn.verify.dichotomy_sweep(7, 4, 5, 0)
         assert failures == [("formula", 7, 3, 2)]
+
+    def test_dichotomy_criteria(self, monkeypatch):
+        # GF(4) under x**2 has a 2-cycle; a criterion that denies it fails
+        # every (4, 2) draw, all on the power side since n - 1 = 1
+        deny_at(monkeypatch, monodyn.monomial, "has_r_periodic", (4, 2, 2))
+        failures, _ = monodyn.verify.dichotomy_sweep(7, 4, 5, 0)
+        assert sorted(failures) == [("formula", 4, 2, a) for a in (1, 1, 2, 3)]
 
     @pytest.mark.parametrize(
         "module, name, key, delta, first",

@@ -453,13 +453,35 @@ class TestDichotomy:
         assert struct.p_brute == {1: 1, 2: 4}
 
     def test_totals_hold_for_every_coefficient(self):
-        for q in (7, 9, 11, 13, 16, 25, 27):
-            for n in (2, 3, 4, 5):
+        # the graph criteria are judged exactly where a*x**n is conjugate
+        # to x**n, i.e. a is an (n-1)-th power, and hold there
+        sides = set()
+        for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27):
+            for n in (2, 3, 4, 5, 6):
                 for a in range(1, q):
                     sys = system(q, n, a)
                     rep = dichotomy_report(sys, build(sys))
                     assert rep.totals_match
                     assert rep.periodic_total == monomial.q_star(q, n) + 1
+                    want = True if rep.has_nonzero_fixed else None
+                    assert rep.criteria_match is want, (q, n, a)
+                    sides.add(want)
+        assert sides == {True, None}
+
+    def test_criteria_read_the_existence_criterion(self, monkeypatch):
+        # 2 * x**2 on GF(4) is conjugate to x**2, which swaps the two
+        # elements outside GF(2); a criterion that denies the 2-cycle fails
+        real = monomial.has_r_periodic
+
+        def lying(q, n, r):
+            return not real(q, n, r) if (q, n, r) == (4, 2, 2) else real(q, n, r)
+
+        monkeypatch.setattr(monomial, "has_r_periodic", lying)
+        sys = system(4, 2, a_index=2)
+        rep = dichotomy_report(sys, build(sys), strict=False)
+        assert (rep.formula_match, rep.criteria_match) == (True, False)
+        with pytest.raises(InvariantViolation, match=r"q=4, n=2, a=2\b"):
+            dichotomy_report(sys, build(sys))
 
     def test_strictness(self):
         sys = system(7, 2)
