@@ -11,6 +11,12 @@ Exit codes: 0 success, 1 invariant violation or failed verification,
 2 bad input (including an unwritable --output), 3 resource cap exceeded,
 4 internal error (an unexpected exception, reported in one line; this
 includes a verify check that crashes rather than fails).
+
+Each command imports only the layers it runs: `graph` and `analyze
+--a/--brute` the array modules `finite_field` and `graph_engine`,
+`verify` the battery, `sweep` numpy for its sieve.  The closed forms
+(`analyze`, every `ffield` mode), --help and their refusals never load
+numpy.
 """
 
 from __future__ import annotations
@@ -20,11 +26,10 @@ import os
 import re
 import sys
 
-from . import finite_field, function_field, graph_engine, mean_values, monomial
+from . import function_field, mean_values, monomial
 from .errors import InputRangeError, InvariantViolation, ResourceCapError
 from .numtheory import check_prime_power
 from .reporting import comment_header, envelope, ff_csv, render_json, sweep_csv
-from .verify import run_verification
 
 #: Characters of a report handed to the file per write.
 WRITE_CHUNK = 2**20
@@ -140,6 +145,8 @@ def _cmd_analyze(args) -> tuple:
         "cycle_total": sum(prof.per_length.values()),
     }
     if args.a != 1 or args.brute:
+        from . import finite_field, graph_engine
+
         spec = finite_field.make_field(p, s)
         sys_ = graph_engine.monomial_system(spec, args.n, args.a)
         if args.brute:
@@ -157,7 +164,10 @@ def _cmd_analyze(args) -> tuple:
 
 
 def _cmd_graph(args) -> tuple:
-    spec = finite_field.make_field(*check_prime_power(args.q))
+    p, s = check_prime_power(args.q)
+    from . import finite_field, graph_engine
+
+    spec = finite_field.make_field(p, s)
     sys_ = graph_engine.monomial_system(spec, args.n, args.a)
     st = graph_engine.build(sys_)
     if args.format == "dot":
@@ -218,6 +228,8 @@ def _cmd_ffield(args) -> tuple:
 
 
 def _cmd_verify(args) -> tuple[str, int]:
+    from .verify import run_verification
+
     results = run_verification(args.scope, args.seed)
     lines = []
     for r in results:

@@ -9,11 +9,15 @@ the Dirichlet density of each gcd class by Moebius inversion and then
 recombines.  Both must agree, and the empirical prime sweep
 accumulates exact integers, so every reported mean is a true
 rational; floats never enter.
+
+Only `empirical_mean` works on arrays, through numtheory's sieve and
+gcd classes, and it imports the process pool only for more than one
+worker, so importing this module loads neither numpy nor
+concurrent.futures.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
@@ -175,6 +179,8 @@ def empirical_mean(
     blocks = list(zip([0] + cuts[:-1], cuts))
     args = ([primes[lo:hi] for lo, hi in blocks], repeat(s), repeat(terms[0][1]))
     if workers > 1 and len(blocks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
             classes = list(pool.map(gcd_classes, *args))
     else:

@@ -18,6 +18,7 @@ the command line validates raw inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from .errors import InputRangeError, InvariantViolation
@@ -40,8 +41,13 @@ def _check(q: int, n: int) -> None:
         raise InputRangeError(f"n must be in [2, 2**31], got {n}")
 
 
+@lru_cache(maxsize=65536)
 def m_j(q: int, n: int, j: int) -> int:
-    """gcd(n**j - 1, q - 1): nonzero solutions of the j-th iterate fixing x."""
+    """gcd(n**j - 1, q - 1): nonzero solutions of the j-th iterate fixing x.
+
+    Cached: `profile` and `has_r_periodic` read the same iterates of one
+    (q, n).
+    """
     _check(q, n)
     if j < 1:
         raise InputRangeError(f"iterate index must be >= 1, got {j}")

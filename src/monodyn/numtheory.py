@@ -7,16 +7,23 @@ since sweeps hit the same moduli over and over.
 Inputs are held to a 63-bit cap, which keeps the contracts portable;
 Python integers never overflow, so the cap is a scale limit, not a
 safety net.
+
+Only the prime sieve and the gcd-class counts of a prime sweep
+(`prime_array`, `_gcd_tables`, `gcd_classes`) work on arrays; they
+import numpy themselves, so the closed forms built on this module
+run without it.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InputRangeError, ResourceCapError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Largest accepted input for factorization-backed functions.
 MAX_INPUT = 2**63 - 1
@@ -259,6 +266,8 @@ def prime_array(t: int) -> np.ndarray:
     sieve takes (t + 1) // 2 bytes and each prime p >= 3 strikes only
     its odd multiples, from p * p in steps of 2p.
     """
+    import numpy as np
+
     check_sieve_bound(t)
     if t < 0:
         raise InputRangeError(f"sieve bound must be nonnegative, got {t}")
@@ -294,6 +303,8 @@ def _gcd_tables(m: int) -> tuple[tuple, tuple]:
     moduli M = len(table) are pairwise coprime, at most _TABLE_CAP, and
     multiply with the larger prime powers, returned as (l, l**e), to m.
     """
+    import numpy as np
+
     tables: list[np.ndarray] = []
     big = []
     for l, e in reversed(factorize(m)):
@@ -325,6 +336,8 @@ def gcd_classes(values: np.ndarray, s: int, m: int) -> list[tuple[int, int]]:
     lands in [0, len(tab)) for x = -1 too, and for each larger prime
     power one numpy gcd on just the x divisible by its prime.
     """
+    import numpy as np
+
     top = int(values.max(initial=1))
     if s * top.bit_length() <= 63:
         x = values**s - 1

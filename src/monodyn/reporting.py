@@ -14,6 +14,9 @@ than KERNEL_MIN.  A longer one becomes text in `_text_rows`, the one
 numpy text kernel, JOIN_BLOCK items per pass, as do the node and edge
 lines of `graph_engine.export_dot`; no per-item Python int or str is
 made.  `_csv` is the one CSV layout.
+Nothing here loads numpy: an array can only reach `_render` once
+numpy is loaded, so the ndarray check reads it from `sys.modules`,
+and `_text_rows` imports it itself.
 The tests hold the JSON, byte for byte, to the standard library's
 encoder run on an independent recursive mapping in `tests/oracles.py`.
 """
@@ -22,11 +25,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from fractions import Fraction
 from hashlib import sha256
 from json.encoder import encode_basestring_ascii
-
-import numpy as np
 
 from . import __version__
 
@@ -57,8 +59,9 @@ def _render(obj, pad: str, put) -> None:
     Fraction is written as {"num", "den"}, a dataclass as the dict of
     its fields, and a dict as `_render_dict` says.  Floats, arrays that
     do not hold integers, numpy scalars, subclasses of the types above
-    (an IntEnum, a namedtuple, an OrderedDict) and any other type raise
-    TypeError: exact pipelines have no business producing them.
+    (an IntEnum, a namedtuple, an OrderedDict, a masked array) and any
+    other type raise TypeError: exact pipelines have no business
+    producing them.
     Containers, strings and Fractions, nearly every node of a report,
     are checked first.
     """
@@ -77,7 +80,7 @@ def _render(obj, pad: str, put) -> None:
         put(json.dumps(obj))
     elif dataclasses.is_dataclass(kind):
         _render_dict(vars(obj), pad, put)
-    elif kind is np.ndarray:
+    elif "numpy" in sys.modules and kind is sys.modules["numpy"].ndarray:
         if obj.dtype.kind not in "iu":
             raise TypeError(f"refusing to serialize {obj.dtype} array")
         whole = obj.ndim == 1 and len(obj) >= KERNEL_MIN
@@ -114,7 +117,7 @@ def _render_list(seq, pad: str, put) -> None:
     inner = pad + "  "
     sep = "," + inner
     put("[" + inner)
-    if isinstance(seq, np.ndarray) or all(type(v) is int for v in seq):
+    if type(seq) not in (list, tuple) or all(type(v) is int for v in seq):
         put(_int_text(seq, sep))
     else:
         for i, v in enumerate(seq):
@@ -133,7 +136,7 @@ def _int_text(seq, sep: str) -> str:
     if len(seq) > JOIN_BLOCK:
         blocks = range(0, len(seq), JOIN_BLOCK)
         return sep.join(_int_text(seq[lo : lo + JOIN_BLOCK], sep) for lo in blocks)
-    if isinstance(seq, np.ndarray):
+    if type(seq) not in (list, tuple):
         return _text_rows([seq], sep)
     return sep.join(map(str, seq))
 
@@ -152,6 +155,8 @@ def _text_rows(parts, sep: str) -> str:
     drops leading zeros, the sign of an item that is not negative, the
     literal of a false mask row and the last row's sep.
     """
+    import numpy as np
+
     row = b""
     masks = []  # (first column, end column, rows to keep them in)
     numbers = []  # (first digit column, magnitudes, digit columns)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import dataclasses
 import hashlib
@@ -415,7 +416,7 @@ class TestSweep:
         def no_pool(**kwargs):
             raise AssertionError("a worker pool was started")
 
-        monkeypatch.setattr(monodyn.mean_values, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         too_many = str(monodyn.mean_values.MAX_WORKERS + 1)
         argv = ("sweep", "--r", "1", "--n", "2", "--t", "100")
         if where == "flag":
@@ -862,7 +863,7 @@ class TestFuzz:
 
         out, err = io.StringIO(), io.StringIO()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(monodyn.mean_values, "ProcessPoolExecutor", no_pool)
+            mp.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
             mp.setenv("MONODYN_THREADS", "1")
             t0 = time.perf_counter()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -874,6 +875,72 @@ class TestFuzz:
         if code:
             assert err.getvalue().count("\n") <= 1, err.getvalue()
         assert secs < 5, (argv, secs)
+
+
+#: Modules that only some commands need, in the order they are reported.
+HEAVY = ("numpy", "monodyn.finite_field", "monodyn.graph_engine",
+         "monodyn.verify", "concurrent.futures")
+#: What a command that builds a graph loads.
+ARRAYS = ["numpy", "monodyn.finite_field", "monodyn.graph_engine"]
+
+
+def heavy_loaded(lines: list[str]) -> list:
+    """Run the lines in a fresh interpreter with stdout and stderr
+    captured; their global `code`, if any, then the HEAVY modules loaded."""
+    script = "\n".join([
+        "import contextlib, io, json, sys",
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):",
+        *(f"    {line}" for line in lines),
+        f"loaded = [m for m in {HEAVY!r} if m in sys.modules]",
+        "print(json.dumps([globals().get('code'), loaded]))",
+    ])
+    src = str(Path(monodyn.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src, MONODYN_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestImports:
+    """Each command imports only the layers it runs: the closed forms,
+    --help and their refusals start without numpy."""
+
+    @pytest.mark.parametrize(
+        "module", ["cli", "monomial", "function_field", "mean_values"]
+    )
+    def test_closed_form_modules_load_nothing_heavy(self, module):
+        assert heavy_loaded([f"import monodyn.{module}"]) == [None, []]
+
+    @pytest.mark.parametrize(
+        "argv, code, loaded",
+        [
+            (["analyze", "--q", "1000003", "--n", "7"], 0, []),
+            (["ffield", "--q", "3", "--r", "364", "--density"], 0, []),
+            (["ffield", "--q", "3", "--n", "2", "--r", "4", "--dmean"], 0, []),
+            (["ffield", "--q", "2", "--r", "3", "--t", "12", "--oscillate"], 0, []),
+            (["analyze", "--q", "12", "--n", "2"], 2, []),
+            (["--help"], 0, []),
+            (["sweep", "--r", "2", "--n", "3", "--t", "1000"], 0, ["numpy"]),
+            (["graph", "--q", "9", "--n", "2"], 0, ARRAYS),
+            (["analyze", "--q", "7", "--n", "2", "--a", "5"], 0, ARRAYS),
+            (["analyze", "--q", "7", "--n", "2", "--a", "5", "--brute"], 0, ARRAYS),
+        ],
+        ids=["analyze", "density", "dmean", "oscillate", "refusal", "help",
+             "sweep", "graph", "analyze-a", "analyze-brute"],
+    )
+    def test_command_loads_only_its_layers(self, argv, code, loaded):
+        lines = [
+            "from monodyn.cli import main",
+            "try:",
+            f"    code = main({argv!r})",
+            "except SystemExit as exc:",
+            "    code = exc.code",
+        ]
+        assert heavy_loaded(lines) == [code, loaded]
 
 
 class TestParsing:

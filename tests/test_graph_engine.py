@@ -483,6 +483,17 @@ class TestDichotomy:
         with pytest.raises(InvariantViolation, match=r"q=4, n=2, a=2\b"):
             dichotomy_report(sys, build(sys))
 
+    def test_existence_criterion_reuses_the_census_iterates(self):
+        # x**2 on GF(19): q* = 9 and r-hat = ord_9(2) = 6.  profile's
+        # Moebius sums read m_j at j = 1, 2, 3, 6; has_r_periodic reads m_r
+        # and the m_(r/p) for r = 2, 3, 6, all among them, so they all hit
+        sys = system(19, 2)
+        st = build(sys)
+        monomial.m_j.cache_clear()
+        rep = dichotomy_report(sys, st)
+        assert rep.criteria_match is True
+        assert monomial.m_j.cache_info().misses == 4
+
     def test_strictness(self):
         sys = system(7, 2)
         struct = build(sys)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 from bisect import bisect_right
 from fractions import Fraction
@@ -7,7 +8,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from monodyn import mean_values
 from monodyn.errors import InputRangeError, ResourceCapError
 from monodyn.mean_values import (
     MAX_WORKERS,
@@ -259,7 +259,7 @@ class TestEmpiricalSweep:
             sizes.append(max_workers)
             raise PoolRefused
 
-        monkeypatch.setattr(mean_values, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
         # checkpoints 10, 100, 1000 cut the primes below 1000 into three blocks
         for workers in (2, 3, MAX_WORKERS):
             with pytest.raises(PoolRefused):

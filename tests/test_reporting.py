@@ -46,6 +46,10 @@ class Mode(IntEnum):
 Pair = namedtuple("Pair", "x y")
 
 
+class SubArray(np.ndarray):
+    pass
+
+
 class TestJsonable:
     """The JSON mapping, case by case, as render_json writes it."""
 
@@ -228,10 +232,12 @@ class TestRenderer:
             {"mode": Mode.ON},
             [Pair(1, 2)],
             OrderedDict(a=1),
+            np.arange(3).view(SubArray),
+            np.ma.array([1, 2]),
         ],
         ids=["float", "nested float", "float64 array", "nested float64 array",
              "bool array", "numpy scalar", "object", "IntEnum", "namedtuple",
-             "OrderedDict"],
+             "OrderedDict", "ndarray subclass", "masked array"],
     )
     def test_refusals(self, bad):
         with pytest.raises(TypeError):
