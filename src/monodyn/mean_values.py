@@ -18,14 +18,16 @@ concurrent.futures.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 from .errors import InputRangeError, InvariantViolation
 from .numtheory import (
     SIEVE_CAP,
+    SIEVE_SEGMENT,
     check_sieve_bound,
     divisors,
     euler_phi,
@@ -34,11 +36,16 @@ from .numtheory import (
     mobius_terms,
     pow_minus_one,
     prime_array,
+    prime_segment,
     v_s,
 )
 
 #: Most worker processes a sweep may use (--threads, MONODYN_THREADS).
 MAX_WORKERS = 64
+
+# Most primes per gcd_classes call: a sieve segment is cut into pieces
+# this long, since whole segments (about 150000 primes) count slower.
+_CLASS_BLOCK = 20000
 
 
 def _check_rsn(r: int, s: int, n: int) -> None:
@@ -124,6 +131,24 @@ class MeanSweepReport:
     final_abs_error: Fraction
 
 
+def _segment_classes(
+    lo: int, hi: int, cps: list[int], base: list[int], s: int, m: int
+) -> tuple[int, list[int], list[tuple[int, list[tuple[int, int]]]]]:
+    """Sieve [lo, hi) and count its primes per class: (size, bounds, pieces).
+
+    size is the number of primes in [lo, hi) and bounds, per checkpoint
+    in cps, how many of them are at most that checkpoint.  The primes
+    are cut there and every _CLASS_BLOCK primes; pieces holds, per
+    piece in order, its end and gcd_classes(piece, s, m).
+    """
+    primes = prime_segment(lo, hi, base)
+    size = len(primes)
+    bounds = primes.searchsorted(cps, side="right").tolist()
+    cuts = sorted({*bounds, *range(_CLASS_BLOCK, size, _CLASS_BLOCK), size} - {0})
+    pieces = [(b, gcd_classes(primes[a:b], s, m)) for a, b in zip([0, *cuts], cuts)]
+    return size, bounds, pieces
+
+
 def default_checkpoints(t_max: int) -> list[int]:
     """Powers of ten up to t_max, then t_max itself."""
     out = []
@@ -148,14 +173,20 @@ def empirical_mean(
     The per-prime count is sum(mu * (gcd(p**s - 1, M) + 1)) over the
     Moebius terms (mu, M = n**k - 1) of r.  Every M divides L = n**r - 1,
     the first term's, so gcd(p**s - 1, M) = gcd(g, M) with
-    g = gcd(p**s - 1, L).  The prime range is split into blocks, and
-    gcd_classes counts each block's primes per class g by lookup tables
-    built once per L from its factorization.  Each distinct class is
-    then evaluated once per sweep, in Python ints, and the blocks are
-    folded in index order, which makes the result identical for any
-    worker count; at most min(workers, number of blocks) worker
-    processes are started.  Only checkpoints=None means
-    `default_checkpoints(t_max)`; an empty list is refused.
+    g = gcd(p**s - 1, L).
+
+    One job per segment of the grid 0, SIEVE_SEGMENT, 2 * SIEVE_SEGMENT,
+    ..., t_max + 1 (_segment_classes): it sieves its range from the base
+    primes up to isqrt(t_max), cuts its primes at the checkpoints inside
+    it and every _CLASS_BLOCK primes, and counts each piece's primes per
+    class g by lookup tables built once per L from its factorization.
+    Only the class counts leave a job.  Each distinct class is then
+    evaluated once per sweep, in Python ints, and the pieces are folded
+    in grid order, so the prime count and total at every checkpoint are
+    exact sums, identical for any worker count; at most min(workers,
+    number of segments) worker processes are started.
+    Only checkpoints=None means `default_checkpoints(t_max)`; an empty
+    list is refused.
     """
     _check_rsn(r, s, n)
     check_sieve_bound(t_max)
@@ -164,6 +195,7 @@ def empirical_mean(
     if not 1 <= workers <= MAX_WORKERS:
         raise InputRangeError(f"workers must be in [1, {MAX_WORKERS}], got {workers}")
     terms = tuple((mu, pow_minus_one(n, k)) for mu, k in mobius_terms(r))
+    L = terms[0][1]
     analytic = Fraction(analytic_N(r, s, n))
     cps = default_checkpoints(t_max) if checkpoints is None else sorted(set(checkpoints))
     if not cps or any(not 2 <= c <= t_max for c in cps):
@@ -171,34 +203,34 @@ def empirical_mean(
     if cps[-1] != t_max:
         cps.append(t_max)
 
-    primes = prime_array(t_max)
-    bounds = primes.searchsorted(cps, side="right").tolist()
-    cut_set = set(bounds)
-    cut_set.update(range(20000, len(primes), 20000))
-    cuts = sorted(cut_set)
-    blocks = list(zip([0] + cuts[:-1], cuts))
-    args = ([primes[lo:hi] for lo, hi in blocks], repeat(s), repeat(terms[0][1]))
-    if workers > 1 and len(blocks) > 1:
+    edges = [*range(0, t_max + 1, SIEVE_SEGMENT), t_max + 1]
+    ends = [bisect_right(cps, hi - 1) for hi in edges[1:]]
+    job_cps = [cps[a:b] for a, b in zip([0, *ends], ends)]
+    base = prime_array(isqrt(t_max)).tolist()
+    args = (edges[:-1], edges[1:], job_cps, repeat(base), repeat(s), repeat(L))
+    if workers > 1 and len(job_cps) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
-            classes = list(pool.map(gcd_classes, *args))
+        with ProcessPoolExecutor(max_workers=min(workers, len(job_cps))) as pool:
+            jobs = list(pool.map(_segment_classes, *args))
     else:
-        classes = map(gcd_classes, *args)  # one block's classes at a time
+        jobs = map(_segment_classes, *args)  # one segment at a time
 
     value = {}  # class g -> per-prime count of its primes
-    cum_at = {}
-    cum = 0
-    for (_, hi), block in zip(blocks, classes):
-        for g, count in block:
-            if g not in value:
-                value[g] = sum(mu * (gcd(g, M) + 1) for mu, M in terms)
-            cum += count * value[g]
-        cum_at[hi] = cum
     out = []
-    for cp, b in zip(cps, bounds):
-        total = cum_at[b]
-        out.append(SweepCheckpoint(cp, b, total, Fraction(total, b)))
+    count = cum = 0  # primes, and the sum of their counts, before the segment
+    for seg_cps, (size, bounds, pieces) in zip(job_cps, jobs):
+        cum_at = {0: cum}
+        for end, classes in pieces:
+            for g, hits in classes:
+                if g not in value:
+                    value[g] = sum(mu * (gcd(g, M) + 1) for mu, M in terms)
+                cum += hits * value[g]
+            cum_at[end] = cum
+        for cp, b in zip(seg_cps, bounds):
+            total, k = cum_at[b], count + b
+            out.append(SweepCheckpoint(cp, k, total, Fraction(total, k)))
+        count += size
     final = out[-1]
     return MeanSweepReport(
         r, s, n, t_max, analytic, tuple(out), abs(final.mean - analytic)

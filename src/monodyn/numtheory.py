@@ -9,9 +9,11 @@ Python integers never overflow, so the cap is a scale limit, not a
 safety net.
 
 Only the prime sieve and the gcd-class counts of a prime sweep
-(`prime_array`, `_gcd_tables`, `gcd_classes`) work on arrays; they
-import numpy themselves, so the closed forms built on this module
-run without it.
+(`prime_segment`, `prime_array`, `_gcd_tables`, `gcd_classes`) work on
+arrays; they import numpy themselves, so the closed forms built on this
+module run without it.  There is one sieve kernel, `prime_segment`,
+over a range [lo, hi): `prime_array` runs it segment by segment, and a
+prime sweep runs it once per segment, in the worker that counts it.
 """
 
 from __future__ import annotations
@@ -30,6 +32,10 @@ MAX_INPUT = 2**63 - 1
 
 #: Cap for the prime sieve (desk scale).
 SIEVE_CAP = 10**8
+
+#: Numbers per sieve segment: its flags, a third of a byte per number,
+#: stay in cache, and a prime sweep sieves one segment per job.
+SIEVE_SEGMENT = 2**21
 
 # factorize trial-divides below this; Brent's rho splits what is left.
 _TRIAL_BOUND = 2**10
@@ -259,12 +265,50 @@ def check_sieve_bound(t: int) -> None:
         raise ResourceCapError(f"sieve bound {t} exceeds the cap {SIEVE_CAP}")
 
 
+def prime_segment(lo: int, hi: int, base: list[int]) -> np.ndarray:
+    """The primes of [lo, hi), ascending, as an int64 array.
+
+    A sieve of Eratosthenes on the mod-6 wheel: flag j stands for
+    3j + 1 | 1, the j-th number coprime to 6 (1, 5, 7, 11, ...), so a
+    flag costs a third of a byte per number and a number v coprime to 6
+    has flag v // 3.  base lists, ascending, every prime up to
+    isqrt(hi - 1) and may hold more; below 25 no base prime is needed.
+    Each base prime k >= 5 strikes its multiples k * m from k * k on
+    with m coprime to 6: two strides of 2k flags, one for m = 1 and one
+    for m = 5 mod 6.  The primes 2 and 3 are added by hand.
+    """
+    import numpy as np
+
+    # first flag whose number is >= lo: lo // 3, unless lo = 6i + 2,
+    # whose flag lo // 3 stands for 6i + 1
+    j_lo = lo // 3 + (lo % 6 == 2)
+    j_hi = hi // 3 + (hi % 6 == 2)
+    flags = np.ones(j_hi - j_lo, dtype=bool)
+    if j_lo == 0 and len(flags):
+        flags[0] = False  # 1 is no prime
+    for k in base:
+        if k < 5:
+            continue
+        if k * k >= hi:
+            break
+        m0 = max(k, -(-lo // k))
+        for m in (m0 + (1 - m0) % 6, m0 + (5 - m0) % 6):
+            flags[k * m // 3 - j_lo :: 2 * k] = False
+    primes = np.flatnonzero(flags).astype(np.int64, copy=False)
+    del flags
+    primes += j_lo
+    primes *= 3
+    primes += 1
+    primes |= 1
+    small = [p for p in (2, 3) if lo <= p < hi]
+    return np.concatenate([small, primes]) if small else primes
+
+
 def prime_array(t: int) -> np.ndarray:
     """All primes <= t, ascending, as one int64 array.
 
-    An odd-only sieve of Eratosthenes: flag i stands for 2i + 1, so the
-    sieve takes (t + 1) // 2 bytes and each prime p >= 3 strikes only
-    its odd multiples, from p * p in steps of 2p.
+    prime_segment over the SIEVE_SEGMENT grid of [0, t + 1), with the
+    base primes up to isqrt(t) from prime_array itself.
     """
     import numpy as np
 
@@ -273,18 +317,13 @@ def prime_array(t: int) -> np.ndarray:
         raise InputRangeError(f"sieve bound must be nonnegative, got {t}")
     if t < 2:
         return np.zeros(0, dtype=np.int64)
-    odd = np.ones((t + 1) // 2, dtype=bool)
-    for i in range(1, (math.isqrt(t) + 1) // 2):
-        if odd[i]:
-            p = 2 * i + 1
-            odd[p * p // 2 :: p] = False
-    # flag 0 stands for 1, which is no prime: it stays set as the slot of 2
-    primes = np.flatnonzero(odd).astype(np.int64, copy=False)
-    del odd
-    primes *= 2
-    primes += 1
-    primes[0] = 2
-    return primes
+    base = prime_array(math.isqrt(t)).tolist()
+    return np.concatenate(
+        [
+            prime_segment(lo, min(lo + SIEVE_SEGMENT, t + 1), base)
+            for lo in range(0, t + 1, SIEVE_SEGMENT)
+        ]
+    )
 
 
 def primes_up_to(t: int) -> list[int]:

@@ -282,6 +282,13 @@ REPORT_DIGESTS = [
         0,
         "0451def19c11befaeced281d567bd250",
     ),
+    # three sieve segments of 2**21, checkpoints astride the first edge
+    (
+        "sweep --r 6 --s 2 --n 3 --t 4500000"
+        " --checkpoints 2097151,2097152,2097153 --format csv",
+        0,
+        "4755741c49d67e03f2900fd1ee000310",
+    ),
     ("sweep --r 3 --n 2 --t 1000 --threads 0", 2, "36acd139844e641be51748b93dd1c5a4"),
     ("ffield --q 3 --density --r 4", 0, "dac3e06d0cccb54efd31502ccf916339"),
     (

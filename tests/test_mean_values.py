@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import monodyn.mean_values
 from monodyn.errors import InputRangeError, ResourceCapError
 from monodyn.mean_values import (
     MAX_WORKERS,
@@ -20,7 +21,14 @@ from monodyn.mean_values import (
     empirical_mean,
     mobius_invert_multiples,
 )
-from monodyn.numtheory import SIEVE_CAP, divisors, max_exponent, v_s
+from monodyn.numtheory import (
+    SIEVE_CAP,
+    SIEVE_SEGMENT,
+    divisors,
+    max_exponent,
+    prime_segment,
+    v_s,
+)
 
 from oracles import (
     analytic_C_mean,
@@ -252,7 +260,8 @@ class TestEmpiricalSweep:
             empirical_mean(1, 1, 2, 100, workers=MAX_WORKERS + 1)
 
     def test_pool_never_larger_than_block_count(self, monkeypatch):
-        # the pool refuses to start, so no process is ever created
+        # the pool refuses to start, so no process is ever created; the
+        # parent has only computed the base primes by then
         sizes = []
 
         def refuse(max_workers):
@@ -260,15 +269,36 @@ class TestEmpiricalSweep:
             raise PoolRefused
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-        # checkpoints 10, 100, 1000 cut the primes below 1000 into three blocks
+        # the sieve segments of 2**21 numbers cut [0, 5000001) into three
         for workers in (2, 3, MAX_WORKERS):
             with pytest.raises(PoolRefused):
-                empirical_mean(1, 1, 2, 1000, workers=workers)
+                empirical_mean(1, 1, 2, 5_000_000, workers=workers)
         assert sizes == [2, 3, 3]
-        # one block needs no pool at all
+        # one segment needs no pool at all
         rep = empirical_mean(1, 1, 2, 1000, checkpoints=[1000], workers=MAX_WORKERS)
         assert rep.checkpoints[-1].total == 2 * 168
         assert sizes == [2, 3, 3]
+
+    def test_each_number_sieved_once_whatever_the_checkpoints(self, monkeypatch):
+        calls = []
+
+        def record(lo, hi, base):
+            calls.append((lo, hi))
+            return prime_segment(lo, hi, base)
+
+        monkeypatch.setattr(monodyn.mean_values, "prime_segment", record)
+        t = 5_000_000
+        plain = empirical_mean(1, 1, 3, t)
+        default_calls = calls.copy()
+        calls.clear()
+        cps = [*range(25_000, t - 25_000, 25_000), SIEVE_SEGMENT - 1, SIEVE_SEGMENT]
+        assert len(set(cps)) == 200
+        dense = empirical_mean(1, 1, 3, t, checkpoints=cps)
+        edges = [*range(0, t + 1, SIEVE_SEGMENT), t + 1]
+        assert default_calls == list(zip(edges, edges[1:]))
+        assert calls == default_calls
+        assert len(dense.checkpoints) == 201
+        assert dense.checkpoints[-1] == plain.checkpoints[-1]
 
     def test_default_checkpoints(self):
         assert default_checkpoints(1000) == [10, 100, 1000]
@@ -322,10 +352,13 @@ class TestSweepAgainstScalarLoop:
         assert_sweep_matches_oracle(r, s, n, t)
 
     def test_checkpoints_on_and_next_to_block_cuts(self):
-        # the 20000th and 40000th primes are 224737 and 479909
+        # the 20000th and 40000th primes, 224737 and 479909, are cuts
+        # between class blocks inside the first sieve segment, which
+        # ends at SIEVE_SEGMENT = 2**21
         cps = [224736, 224737, 224738, 479908, 479909, 479910]
-        assert_sweep_matches_oracle(6, 1, 3, 480000, cps)
-        assert_sweep_matches_oracle(12, 2, 2, 480000, cps)
+        cps += [SIEVE_SEGMENT - 1, SIEVE_SEGMENT, SIEVE_SEGMENT + 1]
+        assert_sweep_matches_oracle(6, 1, 3, 2_200_000, cps)
+        assert_sweep_matches_oracle(12, 2, 2, 2_200_000, cps)
 
 
 class TestDivergence:

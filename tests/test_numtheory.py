@@ -1,6 +1,7 @@
 import random
+from bisect import bisect_left
 from collections import Counter
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from monodyn.errors import InputRangeError, ResourceCapError
 from monodyn.numtheory import (
     MAX_INPUT,
     SIEVE_CAP,
+    SIEVE_SEGMENT,
     check_prime_power,
     coprime_part,
     divisors,
@@ -24,6 +26,7 @@ from monodyn.numtheory import (
     pow_minus_one,
     prime_array,
     prime_powers_up_to,
+    prime_segment,
     primes_up_to,
     tau,
     v_s,
@@ -357,6 +360,35 @@ class TestPrimes:
         got = prime_array(10**6)
         assert got.size == 78498
         assert got.tolist() == naive_primes(10**6)
+
+
+class TestPrimeSegment:
+    def test_every_range_below_400(self):
+        primes = naive_primes(400)
+        for hi in range(1, 401):
+            for lo in range(hi):
+                got = prime_segment(lo, hi, primes)
+                want = primes[bisect_left(primes, lo) : bisect_left(primes, hi)]
+                assert got.dtype == np.int64
+                assert got.tolist() == want, (lo, hi)
+
+    def test_no_base_primes_below_25(self):
+        for hi in range(1, 26):
+            for lo in range(hi):
+                want = [p for p in naive_primes(hi - 1) if p >= lo]
+                assert prime_segment(lo, hi, []).tolist() == want, (lo, hi)
+
+    def test_windows_around_segment_edges(self):
+        # every start and every end within 60 of the edge, on both sides
+        primes = naive_primes(2 * SIEVE_SEGMENT + 60)
+        base = naive_primes(isqrt(2 * SIEVE_SEGMENT + 60))
+        for k in (1, 2):
+            edge = k * SIEVE_SEGMENT
+            ranges = [(lo, edge + 61) for lo in range(edge - 60, edge + 61)]
+            ranges += [(edge - 60, hi) for hi in range(edge - 59, edge + 61)]
+            for lo, hi in ranges:
+                want = primes[bisect_left(primes, lo) : bisect_left(primes, hi)]
+                assert prime_segment(lo, hi, base).tolist() == want, (lo, hi)
 
 
 class TestGcdClasses:
