@@ -17,6 +17,11 @@ Each command imports only the layers it runs: `graph` and `analyze
 `verify` the battery, `sweep` numpy for its sieve.  The closed forms
 (`analyze`, every `ffield` mode), --help and their refusals never load
 numpy.
+
+Each command builds only its own parser, from the `COMMANDS` table.
+The full argparse tree is built only for top-level help and top-level
+usage errors (no or an unknown command, leftover arguments), so every
+help and error text is the one the full tree prints.
 """
 
 from __future__ import annotations
@@ -35,51 +40,47 @@ from .reporting import comment_header, envelope, ff_csv, render_json, sweep_csv
 WRITE_CHUNK = 2**20
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="monodyn",
-        description="cycle structure of monomial maps on finite fields",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    pa = sub.add_parser("analyze", help="closed-form structure of x -> a x^n")
-    pa.add_argument("--q", type=int, required=True, help="prime power field size")
-    pa.add_argument("--n", type=int, required=True, help="exponent, >= 2")
-    pa.add_argument(
+def _analyze_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--q", type=int, required=True, help="prime power field size")
+    p.add_argument("--n", type=int, required=True, help="exponent, >= 2")
+    p.add_argument(
         "--a", type=int, default=1, help="coefficient index, 1 <= a < q"
     )
-    pa.add_argument(
+    p.add_argument(
         "--brute",
         action="store_true",
         help="also enumerate the graph and cross-check",
     )
 
-    pg = sub.add_parser("graph", help="full functional graph of one system")
-    pg.add_argument("--q", type=int, required=True)
-    pg.add_argument("--n", type=int, required=True)
-    pg.add_argument("--a", type=int, default=1)
-    pg.add_argument("--format", choices=("dot", "json"), default="json")
 
-    ps = sub.add_parser("sweep", help="prime-averaged period counts")
-    ps.add_argument("--r", type=int, required=True, help="exact period")
-    ps.add_argument("--s", type=int, default=1, help="field degree p^s")
-    ps.add_argument("--n", type=int, required=True)
-    ps.add_argument("--t", type=int, required=True, help="prime bound")
-    ps.add_argument(
+def _graph_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--a", type=int, default=1)
+    p.add_argument("--format", choices=("dot", "json"), default="json")
+
+
+def _sweep_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--r", type=int, required=True, help="exact period")
+    p.add_argument("--s", type=int, default=1, help="field degree p^s")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--t", type=int, required=True, help="prime bound")
+    p.add_argument(
         "--checkpoints",
         type=str,
         default=None,
         help="comma-separated report points, e.g. 100,1000,10000",
     )
-    ps.add_argument("--format", choices=("json", "csv"), default="json")
-    ps.add_argument("--threads", type=int, default=None)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--threads", type=int, default=None)
 
-    pf = sub.add_parser("ffield", help="densities over F_q(T)")
-    pf.add_argument("--q", type=int, required=True)
-    pf.add_argument("--r", type=int, default=None, help="cycle length")
-    pf.add_argument("--n", type=int, default=None, help="exponent for means")
-    pf.add_argument("--t", type=int, default=None, help="degree bound")
-    mode = pf.add_mutually_exclusive_group(required=True)
+
+def _ffield_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--r", type=int, default=None, help="cycle length")
+    p.add_argument("--n", type=int, default=None, help="exponent for means")
+    p.add_argument("--t", type=int, default=None, help="degree bound")
+    mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument(
         "--density", action="store_true", help="Dirichlet density of S_r"
     )
@@ -89,17 +90,58 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument(
         "--oscillate", action="store_true", help="natural-density series"
     )
-    pf.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
 
-    pv = sub.add_parser("verify", help="cross-validation battery")
-    pv.add_argument("--scope", choices=("quick", "full"), default="quick")
-    pv.add_argument("--seed", type=int, default=0)
 
-    for sp in (pa, pg, ps, pf, pv):
-        sp.add_argument(
-            "--output", type=str, default=None, help="write to file, not stdout"
-        )
+def _verify_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--scope", choices=("quick", "full"), default="quick")
+    p.add_argument("--seed", type=int, default=0)
+
+
+#: command -> (its line in the top-level help, what adds its arguments)
+COMMANDS = {
+    "analyze": ("closed-form structure of x -> a x^n", _analyze_args),
+    "graph": ("full functional graph of one system", _graph_args),
+    "sweep": ("prime-averaged period counts", _sweep_args),
+    "ffield": ("densities over F_q(T)", _ffield_args),
+    "verify": ("cross-validation battery", _verify_args),
+}
+
+
+def _add_arguments(p: argparse.ArgumentParser, command: str) -> None:
+    COMMANDS[command][1](p)
+    p.add_argument(
+        "--output", type=str, default=None, help="write to file, not stdout"
+    )
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The full tree, for top-level help and top-level usage errors."""
+    parser = argparse.ArgumentParser(
+        prog="monodyn",
+        description="cycle structure of monomial maps on finite fields",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (text, _) in COMMANDS.items():
+        _add_arguments(sub.add_parser(command, help=text), command)
     return parser
+
+
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """Parse with the named command's parser alone, the way the full
+    tree's subparser would; any other line goes to the full tree."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"monodyn {argv[0]}")
+        _add_arguments(parser, argv[0])
+        # starting from `command` keeps vars(args) in the full tree's order
+        args, rest = parser.parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0])
+        )
+        if not rest:
+            return args
+        # leftovers: the full tree reports them with its own usage
+    return _build_parser().parse_args(argv)
 
 
 def _threads(args) -> int:
@@ -253,7 +295,7 @@ def _write(fh, text: str) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse(argv)
     code, line = 0, None
     try:
         if args.command == "verify":

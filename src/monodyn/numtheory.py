@@ -148,6 +148,7 @@ def divisors(m: int) -> list[int]:
     return divs
 
 
+@lru_cache(maxsize=65536)
 def mobius_terms(r: int) -> tuple[tuple[int, int], ...]:
     """(mu(d), r // d) over the squarefree divisors d of r, d increasing.
 
@@ -156,6 +157,9 @@ def mobius_terms(r: int) -> tuple[tuple[int, int], ...]:
     that count is sum(mu * fixed(k) for mu, k in mobius_terms(r)) with
     fixed(k) the number of points the k-th iterate fixes.  Divisors
     with mu(d) = 0 contribute nothing and are left out.
+
+    Cached: a sweep over many (q, n) asks for the same few hundred r
+    again and again.
     """
     terms = [(1, 1)]
     for p, _ in factorize(r):

@@ -1,3 +1,4 @@
+import argparse
 import concurrent.futures
 import contextlib
 import dataclasses
@@ -931,13 +932,16 @@ class TestImports:
             (["ffield", "--q", "2", "--r", "3", "--t", "12", "--oscillate"], 0, []),
             (["analyze", "--q", "12", "--n", "2"], 2, []),
             (["--help"], 0, []),
+            (["graph", "--help"], 0, []),
+            (["analyze", "--q", "7", "--n", "2", "--bogus"], 2, []),
             (["sweep", "--r", "2", "--n", "3", "--t", "1000"], 0, ["numpy"]),
             (["graph", "--q", "9", "--n", "2"], 0, ARRAYS),
             (["analyze", "--q", "7", "--n", "2", "--a", "5"], 0, ARRAYS),
             (["analyze", "--q", "7", "--n", "2", "--a", "5", "--brute"], 0, ARRAYS),
         ],
         ids=["analyze", "density", "dmean", "oscillate", "refusal", "help",
-             "sweep", "graph", "analyze-a", "analyze-brute"],
+             "graph-help", "unrecognized", "sweep", "graph", "analyze-a",
+             "analyze-brute"],
     )
     def test_command_loads_only_its_layers(self, argv, code, loaded):
         lines = [
@@ -960,3 +964,62 @@ class TestParsing:
         with pytest.raises(SystemExit):
             main(["ffield", "--q", "2", "--density", "--dmean"])
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--q", "7", "--n", "2"],
+            ["graph", "--q", "9", "--n", "2", "--format", "dot"],
+            ["sweep", "--r", "2", "--n", "3", "--t", "1000"],
+            ["ffield", "--q", "3", "--r", "4", "--density"],
+            ["verify", "--scope", "quick", "--seed", "1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_command_builds_only_its_parser(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(monodyn.verify, "run_verification", lambda scope, seed: [])
+        built = count_parsers(monkeypatch)
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert built == [f"monodyn {argv[0]}"]
+
+    def test_help_builds_the_full_tree(self, capsys, monkeypatch):
+        built = count_parsers(monkeypatch)
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        capsys.readouterr()
+        assert len(built) == 6
+
+
+def count_parsers(monkeypatch) -> list:
+    """The prog of every argparse.ArgumentParser constructed from now on."""
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    return built
+
+
+#: Help and usage-error lines with the exit code, stdout and stderr they
+#: gave before each command built only its own parser (COLUMNS=80,
+#: Python 3.11.7).  `--out` lines write report.json in the working directory.
+USAGE_TEXTS = json.loads((Path(__file__).parent / "cli_usage.json").read_text())
+
+
+class TestUsageText:
+    @pytest.mark.parametrize(
+        "case", USAGE_TEXTS, ids=[" ".join(c["argv"]) or "(none)" for c in USAGE_TEXTS]
+    )
+    def test_help_and_usage_errors_unchanged(self, capsys, monkeypatch, tmp_path, case):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.chdir(tmp_path)
+        try:
+            code = main(case["argv"])
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (case["code"], case["out"], case["err"])

@@ -219,3 +219,12 @@ class TestProfile:
             calls.clear()
             prof = monomial.profile(q, n)
             assert calls == Counter(divisors(prof.r_hat)), (q, n)
+
+    def test_second_profile_adds_no_mobius_terms_misses(self):
+        info = monomial.mobius_terms.cache_info
+        monomial.mobius_terms.cache_clear()
+        profile(1000003, 7)
+        misses = info().misses
+        assert misses > 1
+        profile(1000003, 7)
+        assert info().misses == misses
