@@ -1,14 +1,14 @@
 """Prime-averaged counts of periodic points and cycles of x -> x**n.
 
 As p runs through primes, the number of exact-period-r points of the
-power map on GF(p**s) has a limiting mean value.  Two independent
-routes compute it: a direct route that sums the unit-root counts v_s
-over the divisors of n**k - 1, as a product over its prime powers
-because v_s is multiplicative, and a density route that first builds
-the Dirichlet density of each gcd class by Moebius inversion and then
-recombines.  Both must agree, and the empirical prime sweep
-accumulates exact integers, so every reported mean is a true
-rational; floats never enter.
+power map on GF(p**s) has a limiting mean value, reached three ways:
+the product route `analytic_N` sums the unit-root counts v_s over the
+divisors of n**k - 1 as a product over prime powers; the exact class
+law `dirichlet_D` sums P(g) * F(g), P(g) the Dirichlet density of the
+gcd class g of n**r - 1 (`class_law`) and F(g) the count of a prime in
+it; the empirical class histogram of `empirical_mean` is weighted by
+the same F.  The first two must agree, and the sweep sums exact
+integers, so every reported mean is a true rational; floats never enter.
 
 Only `empirical_mean` works on arrays, through numtheory's sieve and
 gcd classes, and it imports the process pool only for more than one
@@ -74,39 +74,40 @@ def analytic_N(r: int, s: int, n: int) -> int:
     )
 
 
-def mobius_invert_multiples(g, m: int, r: int):
-    """Recover h(r) from g(r) = sum of h(kr) over multiples kr dividing m."""
-    if r < 1 or m % r:
-        raise InputRangeError(f"{r} does not divide {m}")
-    return sum(mu * g(m // k) for mu, k in mobius_terms(m // r))
+def _terms(r: int, n: int) -> tuple[tuple[int, int], ...]:
+    """The Moebius terms (mu, n**k - 1) of r; the first is (1, n**r - 1)."""
+    return tuple((mu, pow_minus_one(n, k)) for mu, k in mobius_terms(r))
 
 
-def density_mean_gcd(m: int, s: int) -> Fraction:
-    """Dirichlet-density route to the mean of gcd(m, p**s - 1).
+def _class_count(g: int, terms: tuple[tuple[int, int], ...]) -> int:
+    """F(g): the period-r count of a prime with gcd(p**s - 1, n**r - 1) = g.
 
-    Primes with l | p**s - 1 have density v_s(l) / phi(l); inverting
-    over multiples isolates the density of the class where the gcd is
-    exactly l, and the mean is the sum of l times that density.
+    Exact, since each n**k - 1 of terms = _terms(r, n) divides n**r - 1.
     """
-    total = Fraction(0)
-    for l in divisors(m):
-        dens = mobius_invert_multiples(
-            lambda j: Fraction(v_s(s, j), euler_phi(j)), m, l
+    return sum(mu * (gcd(g, M) + 1) for mu, M in terms)
+
+
+def class_law(L: int, s: int) -> dict[int, Fraction]:
+    """Per divisor g of L, the Dirichlet density of primes with gcd(p**s - 1, L) = g.
+
+    Primes with l | p**s - 1 have density v_s(l) / phi(l); Moebius
+    inversion over the multiples of g dividing L isolates the class g.
+    """
+    return {
+        g: sum(
+            Fraction(mu * v_s(s, L // k), euler_phi(L // k))
+            for mu, k in mobius_terms(L // g)
         )
-        total += l * dens
-    return total
+        for g in divisors(L)
+    }
 
 
 def dirichlet_D(r: int, s: int, n: int) -> int:
-    """Dirichlet mean of the exact-period-r count, via per-class densities.
-
-    A distinct evaluation route from analytic_N; the two must agree,
-    and the result must be an integer.
-    """
+    """Dirichlet mean of the period-r count: sum of P(g) * F(g), g | n**r - 1."""
     _check_rsn(r, s, n)
-    total = sum(
-        mu * (density_mean_gcd(pow_minus_one(n, k), s) + 1) for mu, k in mobius_terms(r)
-    )
+    terms = _terms(r, n)
+    law = class_law(terms[0][1], s)
+    total = sum(P * _class_count(g, terms) for g, P in law.items())
     if total.denominator != 1:
         raise InvariantViolation(f"Dirichlet mean is not integral: {total}")
     return int(total)
@@ -170,10 +171,8 @@ def empirical_mean(
 ) -> MeanSweepReport:
     """Exact prime sweep of the period-r count over GF(p**s) for p <= t_max.
 
-    The per-prime count is sum(mu * (gcd(p**s - 1, M) + 1)) over the
-    Moebius terms (mu, M = n**k - 1) of r.  Every M divides L = n**r - 1,
-    the first term's, so gcd(p**s - 1, M) = gcd(g, M) with
-    g = gcd(p**s - 1, L).
+    The count of a prime p is _class_count of its class gcd(p**s - 1, L),
+    L = n**r - 1: the F by which dirichlet_D weights the exact class law.
 
     One job per segment of the grid 0, SIEVE_SEGMENT, 2 * SIEVE_SEGMENT,
     ..., t_max + 1 (_segment_classes): it sieves its range from the base
@@ -194,14 +193,14 @@ def empirical_mean(
         raise InputRangeError(f"t_max must be in [2, {SIEVE_CAP}], got {t_max}")
     if not 1 <= workers <= MAX_WORKERS:
         raise InputRangeError(f"workers must be in [1, {MAX_WORKERS}], got {workers}")
-    terms = tuple((mu, pow_minus_one(n, k)) for mu, k in mobius_terms(r))
+    terms = _terms(r, n)
     L = terms[0][1]
-    analytic = Fraction(analytic_N(r, s, n))
     cps = default_checkpoints(t_max) if checkpoints is None else sorted(set(checkpoints))
     if not cps or any(not 2 <= c <= t_max for c in cps):
         raise InputRangeError("checkpoints must be a nonempty list in [2, t_max]")
     if cps[-1] != t_max:
         cps.append(t_max)
+    analytic = Fraction(analytic_N(r, s, n))
 
     edges = [*range(0, t_max + 1, SIEVE_SEGMENT), t_max + 1]
     ends = [bisect_right(cps, hi - 1) for hi in edges[1:]]
@@ -224,7 +223,7 @@ def empirical_mean(
         for end, classes in pieces:
             for g, hits in classes:
                 if g not in value:
-                    value[g] = sum(mu * (gcd(g, M) + 1) for mu, M in terms)
+                    value[g] = _class_count(g, terms)
                 cum += hits * value[g]
             cum_at[end] = cum
         for cp, b in zip(seg_cps, bounds):

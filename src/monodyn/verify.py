@@ -125,7 +125,7 @@ def mean_identities(
         if mean_values.analytic_I(m, 1) != tau(m):
             failures.append(("tau", m))
     for m in range(1, min(m_max, 300) + 1):
-        if mean_values.density_mean_gcd(m, 1) != tau(m):
+        if sum(g * P for g, P in mean_values.class_law(m, 1).items()) != tau(m):
             failures.append(("tau", m))
     l_max, vs_max = ls
     for l in range(1, l_max + 1):

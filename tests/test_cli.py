@@ -658,11 +658,20 @@ class TestVerify:
 
 
 def lie_at(monkeypatch, module, name, key, delta):
-    """Make module.name(*key) return delta more than it should."""
+    """Make module.name(*key) return delta more than it should.
+
+    A dict value (a class law) is shifted entry by entry, by the entries
+    of the dict delta.
+    """
     real = getattr(module, name)
 
+    def shift(val):
+        if isinstance(val, dict):
+            return {g: P + delta.get(g, 0) for g, P in val.items()}
+        return val + delta
+
     def lying(*args):
-        return real(*args) + delta if args == key else real(*args)
+        return shift(real(*args)) if args == key else real(*args)
 
     monkeypatch.setattr(module, name, lying)
 
@@ -750,7 +759,14 @@ class TestBatteryFailurePaths:
         [
             (monodyn.mean_values, "dirichlet_D", (2, 1, 3), 1, (2, 1, 3, 2, 3)),
             (monodyn.mean_values, "analytic_I", (12, 1), 1, ("tau", 12)),
-            (monodyn.mean_values, "density_mean_gcd", (12, 1), 1, ("tau", 12)),
+            # half the mass of class 1 moved to class 12: still sums to 1
+            (
+                monodyn.mean_values,
+                "class_law",
+                (12, 1),
+                {1: -Fraction(1, 2), 12: Fraction(1, 2)},
+                ("tau", 12),
+            ),
             (monodyn.verify, "v_s", (2, 8), -1, (2, 8, 4, 3)),
         ],
         ids=["route mismatch", "tau analytic", "tau density", "v_s"],

@@ -14,20 +14,19 @@ from monodyn.mean_values import (
     MAX_WORKERS,
     analytic_I,
     analytic_N,
+    class_law,
     default_checkpoints,
-    density_mean_gcd,
     dirichlet_D,
     divergence_series,
     empirical_mean,
-    mobius_invert_multiples,
 )
 from monodyn.numtheory import (
     SIEVE_CAP,
     SIEVE_SEGMENT,
-    divisors,
+    gcd_classes,
     max_exponent,
+    prime_array,
     prime_segment,
-    v_s,
 )
 
 from oracles import (
@@ -130,47 +129,45 @@ class TestAnalyticN:
             analytic_N(1, 1, 1)
 
 
-class TestMobiusInversion:
-    @given(st.integers(min_value=1, max_value=500), st.data())
-    def test_recovers_summand(self, m, data):
-        divs = naive_divisors(m)
-        h = {d: data.draw(st.integers(min_value=-50, max_value=50)) for d in divs}
-
-        def g(r: int) -> int:
-            return sum(h[j] for j in divs if j % r == 0)
-
-        for r in divs:
-            assert mobius_invert_multiples(g, m, r) == h[r]
-
-    def test_rejects_non_divisor(self):
-        with pytest.raises(InputRangeError):
-            mobius_invert_multiples(lambda j: 1, 12, 5)
+#: (r, s, n) whose class law of n**r - 1 is held against the primes up
+#: to 10**6: small and large L, s > 1, a prime L (2**5 - 1).
+LAW_TUPLES = ((6, 1, 2), (4, 1, 3), (3, 2, 2), (2, 1, 5), (12, 1, 2), (5, 3, 2))
 
 
 class TestDirichletRoute:
     def test_density_mean_matches_divisor_count(self):
         for m in range(1, 300):
-            assert density_mean_gcd(m, 1) == len(naive_divisors(m))
+            law = class_law(m, 1)
+            assert sum(g * P for g, P in law.items()) == len(naive_divisors(m))
 
     @given(
         st.integers(min_value=1, max_value=400),
         st.integers(min_value=1, max_value=5),
     )
     def test_density_mean_matches_divisor_sum_route(self, m, s):
-        val = density_mean_gcd(m, s)
-        assert val.denominator == 1
-        assert val == analytic_I(m, s)
+        assert sum(g * P for g, P in class_law(m, s).items()) == analytic_I(m, s)
 
     def test_class_densities_sum_to_one(self):
-        # the density of {p : gcd(m, p**s - 1) = l} over all l | m is 1
-        for m, s in ((12, 1), (36, 2), (100, 3), (7, 4)):
-            total = sum(
-                mobius_invert_multiples(
-                    lambda j: Fraction(v_s(s, j), euler_phi_local(j)), m, l
-                )
-                for l in divisors(m)
-            )
-            assert total == 1, (m, s)
+        # one class per divisor of L, none negative, all of them summing to 1
+        moduli = [12, 36, 100, 7, 1, 4095, *(n**r - 1 for r, _, n in LAW_TUPLES)]
+        for L in moduli:
+            for s in range(1, 5):
+                law = class_law(L, s)
+                assert sorted(law) == naive_divisors(L), (L, s)
+                assert min(law.values()) >= 0, (L, s)
+                assert sum(law.values()) == 1, (L, s)
+
+    def test_class_histogram_matches_law(self):
+        # the primes up to 10**6 per gcd class, against the exact law
+        primes = prime_array(10**6)
+        for r, s, n in LAW_TUPLES:
+            L = n**r - 1
+            law = class_law(L, s)
+            hist = dict(gcd_classes(primes, s, L))
+            assert set(hist) <= set(law), (r, s, n)
+            tv = sum(abs(Fraction(hist.get(g, 0), len(primes)) - P)
+                     for g, P in law.items()) / 2
+            assert tv < Fraction(1, 100), (r, s, n, float(tv))
 
     def test_golden(self):
         assert dirichlet_D(1, 1, 13) == 7
@@ -180,10 +177,6 @@ class TestDirichletRoute:
             for s in range(1, 5):
                 for n in range(2, 11):
                     assert dirichlet_D(r, s, n) == analytic_N(r, s, n), (r, s, n)
-
-
-def euler_phi_local(j: int) -> int:
-    return sum(1 for k in range(1, j + 1) if math.gcd(k, j) == 1)
 
 
 class PoolRefused(Exception):
@@ -241,6 +234,15 @@ class TestEmpiricalSweep:
         err_big = abs(big.mean - rep.analytic)
         assert err_big < err_small
         assert err_big < Fraction(1, 50)
+
+    def test_checkpoints_refused_before_any_work(self, monkeypatch):
+        # n - 1 = (2**31 - 1) * (2**31 - 19), which analytic_N would factor
+        def refuse(*args):
+            raise AssertionError("analytic_N ran before the checkpoints were checked")
+
+        monkeypatch.setattr(monodyn.mean_values, "analytic_N", refuse)
+        with pytest.raises(InputRangeError):
+            empirical_mean(1, 1, 4611685975477714964, 100, checkpoints=[1])
 
     def test_input_errors(self):
         with pytest.raises(InputRangeError):
