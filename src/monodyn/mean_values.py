@@ -18,10 +18,10 @@ concurrent.futures.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from math import gcd, isqrt, prod
 
 from .errors import InputRangeError, InvariantViolation
@@ -43,8 +43,9 @@ from .numtheory import (
 #: Most worker processes a sweep may use (--threads, MONODYN_THREADS).
 MAX_WORKERS = 64
 
-# Most primes per gcd_classes call: a sieve segment is cut into pieces
-# this long, since whole segments (about 150000 primes) count slower.
+# Most primes per gcd_classes call: a job counts classes this many primes
+# at a time, since the table gathers and np.unique over a whole segment
+# (about 150000 primes) cost about 20 % more sweep time and 4 MB more RSS.
 _CLASS_BLOCK = 20000
 
 
@@ -134,20 +135,24 @@ class MeanSweepReport:
 
 def _segment_classes(
     lo: int, hi: int, cps: list[int], base: list[int], s: int, m: int
-) -> tuple[int, list[int], list[tuple[int, list[tuple[int, int]]]]]:
-    """Sieve [lo, hi) and count its primes per class: (size, bounds, pieces).
+) -> list[tuple[int | None, int, list[tuple[int, int]]]]:
+    """Sieve [lo, hi) and count its primes per class, checkpoint by checkpoint.
 
-    size is the number of primes in [lo, hi) and bounds, per checkpoint
-    in cps, how many of them are at most that checkpoint.  The primes
-    are cut there and every _CLASS_BLOCK primes; pieces holds, per
-    piece in order, its end and gcd_classes(piece, s, m).
+    cps is the whole sorted checkpoint list.  One (c, primes, classes)
+    entry per checkpoint c in [lo, hi), then (None, primes, classes) for
+    the rest of the range: primes is the number of primes since the
+    previous entry and classes their gcd_classes(., s, m) pairs, counted
+    _CLASS_BLOCK primes at a time and concatenated, so g may repeat.
     """
     primes = prime_segment(lo, hi, base)
-    size = len(primes)
-    bounds = primes.searchsorted(cps, side="right").tolist()
-    cuts = sorted({*bounds, *range(_CLASS_BLOCK, size, _CLASS_BLOCK), size} - {0})
-    pieces = [(b, gcd_classes(primes[a:b], s, m)) for a, b in zip([0, *cuts], cuts)]
-    return size, bounds, pieces
+    kept = cps[bisect_left(cps, lo) : bisect_left(cps, hi)]
+    ends = [*primes.searchsorted(kept, side="right").tolist(), len(primes)]
+    out = []
+    for cp, a, b in zip([*kept, None], [0, *ends], ends):
+        cuts = [*range(a, b, _CLASS_BLOCK), b]
+        blocks = (gcd_classes(primes[i:j], s, m) for i, j in zip(cuts, cuts[1:]))
+        out.append((cp, b - a, [*chain.from_iterable(blocks)]))
+    return out
 
 
 def default_checkpoints(t_max: int) -> list[int]:
@@ -176,14 +181,14 @@ def empirical_mean(
 
     One job per segment of the grid 0, SIEVE_SEGMENT, 2 * SIEVE_SEGMENT,
     ..., t_max + 1 (_segment_classes): it sieves its range from the base
-    primes up to isqrt(t_max), cuts its primes at the checkpoints inside
-    it and every _CLASS_BLOCK primes, and counts each piece's primes per
-    class g by lookup tables built once per L from its factorization.
-    Only the class counts leave a job.  Each distinct class is then
-    evaluated once per sweep, in Python ints, and the pieces are folded
-    in grid order, so the prime count and total at every checkpoint are
-    exact sums, identical for any worker count; at most min(workers,
-    number of segments) worker processes are started.
+    primes up to isqrt(t_max) and answers, per checkpoint inside it and
+    for the rest of its range, the number of new primes and their counts
+    per class g, by lookup tables built once per L from its
+    factorization.  Only these counts leave a job.  They are folded in
+    grid order, each distinct class evaluated once per sweep in Python
+    ints, so the prime count and total at every checkpoint are exact
+    sums, identical for any worker count; at most min(workers, number
+    of segments) worker processes are started.
     Only checkpoints=None means `default_checkpoints(t_max)`; an empty
     list is refused.
     """
@@ -203,33 +208,27 @@ def empirical_mean(
     analytic = Fraction(analytic_N(r, s, n))
 
     edges = [*range(0, t_max + 1, SIEVE_SEGMENT), t_max + 1]
-    ends = [bisect_right(cps, hi - 1) for hi in edges[1:]]
-    job_cps = [cps[a:b] for a, b in zip([0, *ends], ends)]
     base = prime_array(isqrt(t_max)).tolist()
-    args = (edges[:-1], edges[1:], job_cps, repeat(base), repeat(s), repeat(L))
-    if workers > 1 and len(job_cps) > 1:
+    args = (edges[:-1], edges[1:], repeat(cps), repeat(base), repeat(s), repeat(L))
+    if workers > 1 and len(edges) > 2:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(workers, len(job_cps))) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(edges) - 1)) as pool:
             jobs = list(pool.map(_segment_classes, *args))
     else:
         jobs = map(_segment_classes, *args)  # one segment at a time
 
     value = {}  # class g -> per-prime count of its primes
     out = []
-    count = cum = 0  # primes, and the sum of their counts, before the segment
-    for seg_cps, (size, bounds, pieces) in zip(job_cps, jobs):
-        cum_at = {0: cum}
-        for end, classes in pieces:
-            for g, hits in classes:
-                if g not in value:
-                    value[g] = _class_count(g, terms)
-                cum += hits * value[g]
-            cum_at[end] = cum
-        for cp, b in zip(seg_cps, bounds):
-            total, k = cum_at[b], count + b
-            out.append(SweepCheckpoint(cp, k, total, Fraction(total, k)))
-        count += size
+    count = total = 0  # primes so far, and the sum of their counts
+    for cp, primes, classes in chain.from_iterable(jobs):
+        count += primes
+        for g, hits in classes:
+            if g not in value:
+                value[g] = _class_count(g, terms)
+            total += hits * value[g]
+        if cp is not None:
+            out.append(SweepCheckpoint(cp, count, total, Fraction(total, count)))
     final = out[-1]
     return MeanSweepReport(
         r, s, n, t_max, analytic, tuple(out), abs(final.mean - analytic)

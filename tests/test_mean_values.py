@@ -314,14 +314,19 @@ def oracle_primes(t: int) -> tuple[int, ...]:
 
 
 def assert_sweep_matches_oracle(r, s, n, t, checkpoints=None):
+    """One and two workers give one report, whose every checkpoint has the
+    scalar loop's prime count and total; the report is returned."""
     one = empirical_mean(r, s, n, t, checkpoints=checkpoints)
     two = empirical_mean(r, s, n, t, checkpoints=checkpoints, workers=2)
     assert one == two
     primes = oracle_primes(t)
-    for cp in one.checkpoints:
-        below = primes[: bisect_right(primes, cp.t)]
-        assert cp.prime_count == len(below), cp.t
-        assert cp.total == scalar_sweep_total(r, s, n, below), cp.t
+    total = k = 0
+    for cp in one.checkpoints:  # the scalar loop, one interval at a time
+        below = bisect_right(primes, cp.t)
+        total += scalar_sweep_total(r, s, n, primes[k:below])
+        k = below
+        assert (cp.prime_count, cp.total) == (k, total), cp.t
+    return one
 
 
 class TestSweepAgainstScalarLoop:
@@ -354,13 +359,43 @@ class TestSweepAgainstScalarLoop:
         assert_sweep_matches_oracle(r, s, n, t)
 
     def test_checkpoints_on_and_next_to_block_cuts(self):
-        # the 20000th and 40000th primes, 224737 and 479909, are cuts
-        # between class blocks inside the first sieve segment, which
-        # ends at SIEVE_SEGMENT = 2**21
-        cps = [224736, 224737, 224738, 479908, 479909, 479910]
+        # a job counts each checkpoint interval _CLASS_BLOCK primes at a
+        # time; with checkpoints around the 20000th, 40001st and 60003rd
+        # primes, 224737, 479939 and 746797, the long intervals hold one
+        # prime less than a block, a whole block and one prime more, all
+        # inside the first sieve segment, which ends at SIEVE_SEGMENT = 2**21
+        cps = [p + d for p in (224737, 479939, 746797) for d in (-1, 0, 1)]
+        ends = [bisect_right(oracle_primes(2_200_000), c) for c in cps]
+        block = monodyn.mean_values._CLASS_BLOCK
+        sizes = [b - a for a, b in zip([0, *ends], ends)]
+        assert sizes == [block - 1, 1, 0, block, 1, 0, block + 1, 1, 0]
         cps += [SIEVE_SEGMENT - 1, SIEVE_SEGMENT, SIEVE_SEGMENT + 1]
         assert_sweep_matches_oracle(6, 1, 3, 2_200_000, cps)
         assert_sweep_matches_oracle(12, 2, 2, 2_200_000, cps)
+
+
+class TestClassBlockSize:
+    """The report does not depend on how many primes a gcd_classes call gets."""
+
+    @pytest.mark.parametrize(
+        "t, cps, blocks",
+        [
+            # no prime lies in 24..28 or in 114..126; 2, 3, 113, 127 are primes
+            (3000, [2, 3, *range(24, 29), 113, *range(114, 128)], (1, 2, 7, 10**9)),
+            # the pool path, with checkpoints on both sides of a segment edge;
+            # a block of 1 would take one gcd_classes call per prime
+            (2_200_000, [SIEVE_SEGMENT + d for d in (-1, 0, 1)], (997, 10**9)),
+        ],
+    )
+    def test_any_block_gives_the_default_report(self, monkeypatch, t, cps, blocks):
+        # L = 720720 = 2**4 * 3**2 * 5 * 7 * 11 * 13 has 240 classes g, each
+        # with the nonzero count F(g) = g + 1, so no prime goes unweighed
+        want = assert_sweep_matches_oracle(1, 2, 720721, t, cps)
+        for block in blocks:
+            monkeypatch.setattr(monodyn.mean_values, "_CLASS_BLOCK", block)
+            for workers in (1, 2):
+                got = empirical_mean(1, 2, 720721, t, checkpoints=cps, workers=workers)
+                assert got == want, (block, workers)
 
 
 class TestDivergence:
