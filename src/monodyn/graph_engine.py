@@ -11,19 +11,21 @@ same decomposition by masking index 0 instead of rebuilding.
 `decompose` takes any successor array, not only a monomial one:
 
 - peel: nodes of in-degree 0 are removed layer by layer, and the nodes
-  that are never removed are the periodic ones.  Walking the layers
-  backwards gives every node its tail length and its entry point, the
-  first periodic node on its forward path;
-- cycles: f permutes the periodic nodes.  Pointer doubling on that
-  permutation carries, for every node x, the minimum of the window
-  x, f(x), ..., f^(w-1)(x) and the distance to it, doubling w each
-  step.  Once every window has the same minimum as the window that
-  follows it, the windows tile each cycle, so every node holds its
-  cycle's minimum and its distance to it: about log2 of the longest
-  cycle steps;
-- numbering: components are numbered by their smallest member, and
-  each cycle is listed from the entry point of that member, which is
-  the order in which walks started at 0, 1, 2, ... discover them.
+  never removed are the periodic ones.  Each layer hands on the
+  smallest node peeled into it, so every periodic node learns the
+  smallest node of the tree that hangs from it, itself included;
+- label: f permutes the periodic nodes.  Pointer doubling on that
+  permutation carries, for every node x, the least of those tree minima
+  over the window x, f(x), ..., f^(w-1)(x) and the steps to it,
+  doubling w until every window has the same minimum as the window
+  that follows it: about log2 of the longest cycle steps.  The windows
+  then tile each cycle, so every node holds its component's smallest
+  member, whose rank numbers the component, and the steps to where that
+  member enters the cycle;
+- unwind: walking the layers backwards gives every node its tail
+  length and its component;
+- list: each cycle starts where that member enters it, which is the
+  order in which walks started at 0, 1, 2, ... discover the cycles.
 
 The loops run over peel layers, doubling steps and cycles, never over
 nodes.  No discrete logarithm, Zech table or generator is used: the
@@ -143,11 +145,13 @@ def decompose(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[Cycle]]:
     slot = np.empty(q, dtype=itype)  # scatter target, reused below
 
     indeg = np.bincount(succ, minlength=q).astype(itype, copy=False)
+    low = idx.copy()  # smallest node peeled into each node so far, itself included
     front = idx[indeg == 0]
     layers = []
     while len(front):
         layers.append(front)
         nxt = succ[front]
+        np.minimum.at(low, nxt, low[front])
         np.subtract.at(indeg, nxt, itype(1))
         nxt = nxt[indeg[nxt] == 0]
         # peeled nodes may share a successor: keep the copy that owns it
@@ -157,24 +161,16 @@ def decompose(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[Cycle]]:
     per = idx[indeg > 0]  # never peeled: the periodic nodes, ascending
     del indeg
 
-    tail = np.zeros(q, dtype=np.int32)
-    entry = idx.copy()
-    for layer in reversed(layers):
-        nxt = succ[layer]
-        tail[layer] = tail[nxt] + 1
-        entry[layer] = entry[nxt]
-    del layers
-
     # pointer doubling on the permutation of the periodic nodes, in
-    # compact positions 0..m-1 (ascending node order, so the smallest
-    # position is the smallest node)
+    # compact positions 0..m-1; key = (smallest tree node of the window)
+    # << 32 | (steps to the periodic node it hangs from).  Distinct trees
+    # are disjoint, so one np.minimum merges a window with the next one
     m = len(per)
     slot[per] = idx[:m]
     jump = slot[succ[per]]
-    # key = (position of the window minimum) << 32 | (steps to it); the
-    # smaller key of two windows is the smaller minimum, or on a tie the
-    # nearer copy, so one np.minimum merges a window with the next one
-    key = idx[:m].astype(np.int64) << 32
+    key = low[per].astype(np.int64)
+    del low
+    key <<= 32
     w = 1
     while True:
         ahead = key[jump]
@@ -187,29 +183,30 @@ def decompose(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[Cycle]]:
         key = ahead
         jump = jump[jump]
         w *= 2
-    label = (key >> 32).astype(itype)  # position of the cycle minimum
-    dist = (key & 0xFFFFFFFF).astype(itype)  # steps from the node to it
+    label = (key >> 32).astype(itype)  # smallest member of the component
+    dist = (key & 0xFFFFFFFF).astype(itype)  # steps to where it enters
     del jump, ahead, key
 
-    heads = np.flatnonzero(label == idx[:m])  # positions of the cycle minima
-    sizes = np.bincount(label, minlength=m)[heads]
-    root = np.empty(q, dtype=itype)
-    root[per] = per[label]
-    root = root[entry]  # the minimum of each node's cycle
-    lowest = np.full(q, q, dtype=itype)
-    np.minimum.at(lowest, root, idx)
-    lowest = lowest[per[heads]]  # smallest member of each component
-    order = np.argsort(lowest)
-    heads, sizes, lowest = heads[order], sizes[order], lowest[order]
-    start = dist[slot[entry[lowest]]]  # listing start to cycle minimum
-    slot[per[heads]] = np.arange(len(heads), dtype=itype)  # component numbers
-    comp = slot[root].astype(np.int32, copy=False)
-    del root, entry, lowest, slot
+    # component numbers are the ranks of the labels: mark, then count
+    slot.fill(0)
+    slot[label] = 1
+    np.add.accumulate(slot, out=slot)
+    k = slot[label] - 1  # component of each periodic node
+    del label, slot
+    sizes = np.bincount(k)
 
-    k = comp[per]
+    tail = np.zeros(q, dtype=np.int32)
+    comp = np.empty(q, dtype=np.int32)
+    comp[per] = k
+    for layer in reversed(layers):
+        nxt = succ[layer]
+        tail[layer] = tail[nxt] + 1
+        comp[layer] = comp[nxt]
+    del layers
+
     offsets = np.cumsum(sizes) - sizes
     flat = np.empty(m, dtype=np.int32)
-    flat[offsets[k] + (start[k] - dist) % sizes[k]] = per
+    flat[offsets[k] + -dist % sizes[k]] = per
     cycles = [
         Cycle(size, flat[o : o + size])
         for o, size in zip(offsets.tolist(), sizes.tolist())

@@ -190,7 +190,7 @@ def as_scalar(comp, tail, cycles) -> tuple:
 
 
 #: Maps that stress the peel depth and the doubling stop rule.
-SHAPES = ("random", "one cycle", "long path", "fixed points")
+SHAPES = ("random", "one cycle", "long path", "path up", "fixed points")
 
 
 def shaped_map(shape: str, q: int, draws: list[int]) -> list[int]:
@@ -205,6 +205,9 @@ def shaped_map(shape: str, q: int, draws: list[int]) -> list[int]:
         return succ
     if shape == "long path":  # q - 1, q - 2, ..., 1 run into the fixed point 0
         return [max(i - 1, 0) for i in range(q)]
+    if shape == "path up":  # 0, 1, ..., q - 2 run into the fixed point q - 1,
+        # so the smallest member is the leaf farthest from the cycle
+        return [min(i + 1, q - 1) for i in range(q)]
     return list(range(q))
 
 
@@ -260,6 +263,16 @@ class TestArrayDecomposition:
         finally:
             graph_engine.INTP_NODES = saved
         assert got == scalar_build(succ), (shape, q)
+
+    def test_random_map_past_intp_nodes(self):
+        # the int32 path of large graphs, unpatched: several components
+        # with tails hundreds of steps long
+        q = 70001
+        assert q > graph_engine.INTP_NODES
+        succ = np.random.default_rng(70001).integers(0, q, q).astype(np.int32)
+        comp, tail, cycles = decompose(succ)
+        assert len(cycles) > 1 and tail.max() > 100
+        assert as_scalar(comp, tail, cycles) == scalar_build(succ.tolist())
 
 
 class TestConnectivity:
