@@ -268,10 +268,15 @@ class OrderCheckReport:
 def check_order_characterization(
     sys: DynSystem, st: OrbitStructure
 ) -> OrderCheckReport:
-    """Check, for every nonzero point, the order description of the orbit:
-    periodic iff the element order divides q*(n); the cycle length is
-    the multiplicative order of n modulo that element order; and orders
-    are constant along each cycle.
+    """Check the order description of every nonzero orbit: a point of
+    element order d is periodic iff d divides q*(n), its cycle then has
+    length ord_d(n), and orders are constant along each cycle.
+
+    The first two rules are one comparison with a table, indexed by
+    element order, of implied cycle lengths: ord_d(n) for each divisor d
+    of q*, 0 ("not periodic") elsewhere.  A point reads its cycle's
+    length, or 0 if it has a tail.  The first mismatch fails on
+    periodicity if the tail disagrees with the table's 0, else on length.
 
     Only meaningful for coefficient 1, where the periodic points are
     exactly the elements of the subgroup of size q*(n); other
@@ -285,27 +290,21 @@ def check_order_characterization(
     qs = monomial.q_star(q, n)
     all_orders = element_orders(spec)
     comp = st.component_id
+    table = np.zeros(q, dtype=np.int64)  # element order -> implied cycle length
+    for d in divisors(qs):
+        table[d] = multiplicative_order(n, d)
     # index i of the nonzero points sits at position i - 1
     orders = all_orders[1:]
     periodic = st.tail_length[1:] == 0
-    wrong_kind = periodic != (qs % orders == 0)
-    checked = periodic & ~wrong_kind
+    want = table[orders]
     lengths = np.array([c.length for c in st.cycles], dtype=np.int64)
-    got = lengths[comp[1:]]  # cycle k lies in component k
-    ords = orders[checked]
-    present = np.bincount(ords)
-    table = np.zeros(len(present), dtype=np.int64)  # order -> cycle length
-    for o in np.flatnonzero(present).tolist():
-        table[o] = multiplicative_order(n, o)
-    want = np.zeros(q - 1, dtype=np.int64)
-    want[checked] = table[ords]
-    wrong_length = checked & (got != want)
+    got = np.where(periodic, lengths[comp[1:]], 0)  # cycle k lies in component k
     failure = None
-    bad = np.flatnonzero(wrong_kind | wrong_length)
+    bad = np.flatnonzero(got != want)
     if len(bad):
         j = int(bad[0])
         i, o = j + 1, int(orders[j])
-        if wrong_kind[j]:
+        if periodic[j] != (want[j] > 0):
             failure = f"index {i}: order {o} vs q* = {qs}, periodic={bool(periodic[j])}"
         else:
             failure = f"index {i}: cycle length {got[j]}, expected {want[j]} for order {o}"

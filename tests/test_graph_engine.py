@@ -190,7 +190,7 @@ def as_scalar(comp, tail, cycles) -> tuple:
 
 
 #: Maps that stress the peel depth and the doubling stop rule.
-SHAPES = ("random", "one cycle", "long path", "path up", "fixed points")
+SHAPES = ("random", "one cycle", "long path", "path up", "fixed points", "cycles with trees")
 
 
 def shaped_map(shape: str, q: int, draws: list[int]) -> list[int]:
@@ -208,6 +208,23 @@ def shaped_map(shape: str, q: int, draws: list[int]) -> list[int]:
     if shape == "path up":  # 0, 1, ..., q - 2 run into the fixed point q - 1,
         # so the smallest member is the leaf farthest from the cycle
         return [min(i + 1, q - 1) for i in range(q)]
+    if shape == "cycles with trees":  # the shuffled first half cut into 2- to
+        # 4-cycles, each later node hung from one placed before it, so a
+        # component's smallest member need not enter at its cycle's minimum
+        order = list(range(q))
+        random.Random(sum(draws)).shuffle(order)
+        draws = draws + [0] * q
+        succ, lo, cut = [0] * q, 0, max(1, q // 2)
+        for d in draws:
+            if lo == cut:
+                break
+            ring = order[lo : min(lo + 2 + d % 3, cut)]
+            for a, b in zip(ring, ring[1:] + ring[:1]):
+                succ[a] = b
+            lo += len(ring)
+        for j in range(cut, q):
+            succ[order[j]] = order[draws[j] % j]
+        return succ
     return list(range(q))
 
 
@@ -394,8 +411,10 @@ class TestOrderCharacterization:
                 assert self.scalar_failure(sys, st_, orders) is None
                 assert check_order_characterization(sys, st_).failure is None
 
-    def test_flipped_tail_reports_like_scalar_check(self):
-        sys = system(31, 2)
+    # GF(2^6) under x^5 is a permutation: 13 cycles, no tails
+    @pytest.mark.parametrize("q, n", [(31, 2), (64, 5)])
+    def test_flipped_tail_reports_like_scalar_check(self, q, n):
+        sys = system(q, n)
         st_ = build(sys)
         orders = finite_field.element_orders(sys.field).tolist()
         for node in (1, 2, 3, 5, 30):
@@ -409,8 +428,9 @@ class TestOrderCharacterization:
                 assert want is not None
                 assert check_order_characterization(sys, broken).failure == want
 
-    def test_wrong_cycle_length_reports_like_scalar_check(self):
-        sys = system(31, 2)
+    @pytest.mark.parametrize("q, n", [(31, 2), (64, 5)])
+    def test_wrong_cycle_length_reports_like_scalar_check(self, q, n):
+        sys = system(q, n)
         st_ = build(sys)
         orders = finite_field.element_orders(sys.field).tolist()
         for k, c in enumerate(st_.cycles):
@@ -592,7 +612,8 @@ class TestExports:
         header=st.lists(st.text(max_size=8), max_size=2).map(tuple),
     )
     def test_dot_of_any_map_matches_line_by_line(self, shape, q, draws, block, header):
-        # random maps and long paths have tails; one cycle and fixed points do not
+        # random maps, long paths and cycles with trees have tails; one
+        # cycle and fixed points do not
         succ = np.array(shaped_map(shape, q, draws), dtype=np.int32)
         comp, tail, cycles = decompose(succ)
         struct = graph_engine.OrbitStructure(
