@@ -26,11 +26,11 @@ bounds p**2 by 2**44 and 2s by 44, so every entry stays below 2**50.
 
 `digits` gives the int rows of one index, `to_digits` and
 `from_digits` convert whole index arrays, and `batches` walks a field
-in chunks of CHUNK elements, which bounds the working memory of
-`element_orders` and the graph engine's successor array at every field
-size up to FIELD_CAP.  `element_orders` needs only the factorization
-of q - 1 and batched powers: no discrete logarithm, generator or log
-table enters the brute-force route.
+in chunks of CHUNK elements, each with its first index; this bounds
+the working memory of `element_orders` and the graph engine's
+successor array at every field size up to FIELD_CAP.  `element_orders`
+needs only the factorization of q - 1 and batched powers: no discrete
+logarithm, generator or log table enters the brute-force route.
 
 The defining polynomial is the monic irreducible of degree s whose
 coefficient vector encodes the smallest base-p integer, which pins the
@@ -171,9 +171,10 @@ def from_digits(spec: FieldSpec, x) -> np.ndarray:
 
 
 def batches(spec: FieldSpec, start: int = 0):
-    """Batches of the elements with index start..q-1, CHUNK at a time."""
+    """(lo, batch) per CHUNK of indices start..q-1; lo is the batch's first index."""
     for lo in range(start, spec.q, CHUNK):
-        yield to_digits(spec, np.arange(lo, min(lo + CHUNK, spec.q), dtype=np.int64))
+        hi = min(lo + CHUNK, spec.q)
+        yield lo, to_digits(spec, np.arange(lo, hi, dtype=np.int64))
 
 
 @lru_cache(maxsize=1)
@@ -190,8 +191,7 @@ def element_orders(spec: FieldSpec) -> np.ndarray:
     q = spec.q
     factors = factorize(q - 1)
     out = np.zeros(q, dtype=np.int64)
-    lo = 1
-    for x in batches(spec, lo):
+    for lo, x in batches(spec, 1):
         orders = np.ones(x.shape[1], dtype=np.int64)
         for l, e in factors:
             y = power(spec, x, (q - 1) // l**e)
@@ -200,6 +200,5 @@ def element_orders(spec: FieldSpec) -> np.ndarray:
                     y = power(spec, y, l)
                 orders[from_digits(spec, y) != 1] *= l
         out[lo : lo + len(orders)] = orders
-        lo += len(orders)
     out.flags.writeable = False
     return out

@@ -57,18 +57,6 @@ def irreducible_counts(q: int, t: int) -> list[int]:
     return counts
 
 
-def irreducible_count(q: int, d: int) -> int:
-    """Number of monic irreducible polynomials of degree d over GF(q)."""
-    if d < 1:
-        raise InputRangeError(f"degree must be >= 1, got {d}")
-    return irreducible_counts(q, d)[-1]
-
-
-def pi_K(q: int, t: int) -> int:
-    """Number of monic irreducible polynomials of degree at most t."""
-    return sum(irreducible_counts(q, t))
-
-
 def _check_str_digits(q: int, e: int, what: str) -> None:
     """Raise ResourceCapError, before any is formed, when numbers up to
     2 * q**e (at most floor(e * log10(q)) + 2 digits) could pass Python's

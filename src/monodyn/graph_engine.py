@@ -119,14 +119,11 @@ def successor_array(sys: DynSystem) -> np.ndarray:
     e = (sys.n - 1) % (spec.q - 1) + 1
     a = digits(spec, sys.a_index)
     out = np.empty(spec.q, dtype=np.int32)
-    lo = 0
-    for x in batches(spec):
+    for lo, x in batches(spec):
         y = power(spec, x, e)
         if sys.a_index != 1:
             y = mul(spec, a, y)
-        hi = lo + x.shape[1]
-        out[lo:hi] = from_digits(spec, y)
-        lo = hi
+        out[lo : lo + x.shape[1]] = from_digits(spec, y)
     return out
 
 

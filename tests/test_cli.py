@@ -18,6 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import monodyn.cli
+import monodyn.function_field
 import monodyn.graph_engine
 import monodyn.mean_values
 import monodyn.monomial
@@ -819,6 +820,24 @@ class TestBatteryFailurePaths:
         monkeypatch.setattr(monodyn.mean_values, "empirical_mean", off_by_one)
         failures, _ = monodyn.verify.sweep_convergence(2_000, 20_000)
         assert failures == [(1, 1, 2, "mean not identically 2")]
+
+    def test_ff_means_count_pass(self, monkeypatch):
+        # one quartic too many over GF(2): the degree-weighted sum
+        # first misses 2**D at D = 4
+        real = monodyn.function_field.irreducible_counts
+
+        def one_more_quartic(q, t):
+            counts = real(q, t)
+            if q == 2 and t >= 4:
+                counts[3] += 1
+            return counts
+
+        monkeypatch.setattr(
+            monodyn.function_field, "irreducible_counts", one_more_quartic
+        )
+        with pytest.raises(AssertionError) as exc:
+            monodyn.verify._check_ff_means()
+        assert exc.value.args == ((2, 4),)
 
 
 class TestInternalErrors:

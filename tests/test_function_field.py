@@ -8,10 +8,8 @@ from monodyn.function_field import (
     dirichlet_D_K,
     dirichlet_density_S,
     dirichlet_mean_solutions,
-    irreducible_count,
     irreducible_counts,
     oscillation_experiment,
-    pi_K,
     subsequence_limits,
 )
 from monodyn.mean_values import divergence_series
@@ -29,15 +27,11 @@ def naive_pi_K(q: int, t: int) -> int:
 
 class TestIrreducibleCounts:
     def test_goldens(self):
-        assert irreducible_count(2, 1) == 2
-        assert irreducible_count(2, 2) == 1
-        assert irreducible_count(2, 3) == 2
-        assert irreducible_count(2, 4) == 3
-        assert irreducible_count(3, 2) == 3
-        assert irreducible_count(3, 4) == 18
-        assert pi_K(2, 3) == 5
-        assert pi_K(3, 2) == 6
-        assert pi_K(2, 0) == 0
+        assert irreducible_counts(2, 4) == [2, 1, 2, 3]
+        assert irreducible_counts(3, 4) == [3, 3, 8, 18]
+        assert sum(irreducible_counts(2, 3)) == 5
+        assert sum(irreducible_counts(3, 2)) == 6
+        assert irreducible_counts(2, 0) == []
 
     def test_matches_polynomial_sieve(self):
         # independent oracle: mark every reducible monic polynomial as a
@@ -57,23 +51,21 @@ class TestIrreducibleCounts:
         from monodyn.numtheory import divisors
 
         for q in Q_RANGE:
+            counts = irreducible_counts(q, 20)
             for D in range(1, 21):
-                total = sum(d * irreducible_count(q, d) for d in divisors(D))
+                total = sum(d * counts[d - 1] for d in divisors(D))
                 assert total == q**D, (q, D)
 
-    @pytest.mark.parametrize("count", [irreducible_count, irreducible_counts, pi_K])
-    def test_degree_past_int_str_limit(self, count):
+    def test_degree_past_int_str_limit(self):
         # 2**20000 has 6021 digits, over the default limit of 4300
         with pytest.raises(ResourceCapError):
-            count(2, 20000)
+            irreducible_counts(2, 20000)
 
     def test_input_errors(self):
         with pytest.raises(InputRangeError):
-            irreducible_count(6, 2)
+            irreducible_counts(6, 2)
         with pytest.raises(InputRangeError):
-            irreducible_count(2, 0)
-        with pytest.raises(InputRangeError):
-            pi_K(2, -1)
+            irreducible_counts(2, -1)
 
 
 class TestCycleSupportCounts:
@@ -87,13 +79,13 @@ class TestCycleSupportCounts:
     def test_r_one_counts_everything(self):
         for q in Q_RANGE:
             for t in range(0, 8):
-                assert C_r_count(q, 1, t) == pi_K(q, t)
+                assert C_r_count(q, 1, t) == sum(irreducible_counts(q, t))
 
     def test_unit_order_counts_everything(self):
         # ord_r(q) = 1 means r | q - 1: every residue field qualifies
         assert multiplicative_order(3 % 2, 2) == 1
         for t in range(0, 8):
-            assert C_r_count(3, 2, t) == pi_K(3, t)
+            assert C_r_count(3, 2, t) == sum(irreducible_counts(3, t))
 
     def test_ramified_r_is_empty(self):
         assert C_r_count(2, 4, 10) == 0
