@@ -27,7 +27,6 @@ help and error text is the one the full tree prints.
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
 
@@ -72,7 +71,7 @@ def _sweep_args(p: argparse.ArgumentParser) -> None:
         help="comma-separated report points, e.g. 100,1000,10000",
     )
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=1)
 
 
 def _ffield_args(p: argparse.ArgumentParser) -> None:
@@ -144,26 +143,6 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
     return _build_parser().parse_args(argv)
 
 
-def _threads(args) -> int:
-    """--threads if given, else MONODYN_THREADS, else 1; in [1, MAX_WORKERS]."""
-    if args.threads is not None:
-        workers, source = args.threads, "--threads"
-    else:
-        text = os.environ.get("MONODYN_THREADS", "1")
-        try:
-            workers = int(text)
-        except ValueError:
-            raise InputRangeError(
-                f"MONODYN_THREADS must be an integer, got {text!r}"
-            ) from None
-        source = "MONODYN_THREADS"
-    if not 1 <= workers <= mean_values.MAX_WORKERS:
-        raise InputRangeError(
-            f"{source} must be in [1, {mean_values.MAX_WORKERS}], got {workers}"
-        )
-    return workers
-
-
 def _config(args) -> dict:
     """A report's config: every parsed option but the command, --output
     and --threads, in parser order."""
@@ -227,14 +206,16 @@ def _parse_checkpoints(text: str | None) -> list[int] | None:
 
 
 def _cmd_sweep(args) -> tuple:
-    workers = _threads(args)
+    cap = mean_values.MAX_WORKERS
+    if not 1 <= args.threads <= cap:
+        raise InputRangeError(f"--threads must be in [1, {cap}], got {args.threads}")
     rep = mean_values.empirical_mean(
         args.r,
         args.s,
         args.n,
         args.t,
         checkpoints=_parse_checkpoints(args.checkpoints),
-        workers=workers,
+        workers=args.threads,
     )
     return _config(args), rep, sweep_csv if args.format == "csv" else None
 

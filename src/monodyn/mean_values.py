@@ -35,12 +35,12 @@ from .numtheory import (
     gcd_classes,
     mobius_terms,
     pow_minus_one,
-    prime_array,
     prime_segment,
+    primes_up_to,
     v_s,
 )
 
-#: Most worker processes a sweep may use (--threads, MONODYN_THREADS).
+#: Most worker processes a sweep may use (--threads).
 MAX_WORKERS = 64
 
 # Most primes per gcd_classes call: a job counts classes this many primes
@@ -208,7 +208,7 @@ def empirical_mean(
     analytic = Fraction(analytic_N(r, s, n))
 
     edges = [*range(0, t_max + 1, SIEVE_SEGMENT), t_max + 1]
-    base = prime_array(isqrt(t_max)).tolist()
+    base = primes_up_to(isqrt(t_max))
     args = (edges[:-1], edges[1:], repeat(cps), repeat(base), repeat(s), repeat(L))
     if workers > 1 and len(edges) > 2:
         from concurrent.futures import ProcessPoolExecutor

@@ -9,10 +9,10 @@ Python integers never overflow, so the cap is a scale limit, not a
 safety net.
 
 Only the prime sieve and the gcd-class counts of a prime sweep
-(`prime_segment`, `prime_array`, `_gcd_tables`, `gcd_classes`) work on
-arrays; they import numpy themselves, so the closed forms built on this
-module run without it.  There is one sieve kernel, `prime_segment`,
-over a range [lo, hi): `prime_array` runs it segment by segment, and a
+(`prime_segment`, `_gcd_tables`, `gcd_classes`) work on arrays; they
+import numpy themselves, so the closed forms built on this module run
+without it.  There is one sieve kernel, `prime_segment`, over a range
+[lo, hi): `primes_up_to` runs it once over the whole range, and a
 prime sweep runs it once per segment, in the worker that counts it.
 """
 
@@ -308,31 +308,17 @@ def prime_segment(lo: int, hi: int, base: list[int]) -> np.ndarray:
     return np.concatenate([small, primes]) if small else primes
 
 
-def prime_array(t: int) -> np.ndarray:
-    """All primes <= t, ascending, as one int64 array.
+def primes_up_to(t: int) -> list[int]:
+    """All primes <= t, ascending, as a list of Python ints.
 
-    prime_segment over the SIEVE_SEGMENT grid of [0, t + 1), with the
-    base primes up to isqrt(t) from prime_array itself.
+    One prime_segment over [0, t + 1), with the base primes up to
+    isqrt(t) from primes_up_to itself; below 25 none are needed.
     """
-    import numpy as np
-
     check_sieve_bound(t)
     if t < 0:
         raise InputRangeError(f"sieve bound must be nonnegative, got {t}")
-    if t < 2:
-        return np.zeros(0, dtype=np.int64)
-    base = prime_array(math.isqrt(t)).tolist()
-    return np.concatenate(
-        [
-            prime_segment(lo, min(lo + SIEVE_SEGMENT, t + 1), base)
-            for lo in range(0, t + 1, SIEVE_SEGMENT)
-        ]
-    )
-
-
-def primes_up_to(t: int) -> list[int]:
-    """All primes <= t, ascending, as a list of Python ints."""
-    return prime_array(t).tolist()
+    base = primes_up_to(math.isqrt(t)) if t >= 25 else []
+    return prime_segment(0, t + 1, base).tolist()
 
 
 @lru_cache(maxsize=8)

@@ -403,35 +403,21 @@ class TestSweep:
         assert serial == parallel
 
 
-    def test_zero_threads_rejected(self, capsys, monkeypatch):
-        # an explicit 0 is refused, not replaced by the environment value
-        monkeypatch.setenv("MONODYN_THREADS", "1")
+    def test_zero_threads_rejected(self, capsys):
         code, out, err = run(
             capsys, "sweep", "--r", "1", "--n", "2", "--t", "100", "--threads", "0"
         )
         assert code == 2 and out == ""
         assert err.startswith("error:") and "0" in err
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
-    def test_bad_threads_environment_rejected(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("MONODYN_THREADS", value)
-        code, out, err = run(capsys, "sweep", "--r", "1", "--n", "2", "--t", "100")
-        assert code == 2 and out == "", value
-        assert err.startswith("error:") and "MONODYN_THREADS" in err
-
-    @pytest.mark.parametrize("where", ["flag", "environment"])
-    def test_threads_over_cap_rejected(self, capsys, monkeypatch, where):
+    def test_threads_over_cap_rejected(self, capsys, monkeypatch):
         # refused before any work: a pool, had one been asked for, raises
         def no_pool(**kwargs):
             raise AssertionError("a worker pool was started")
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         too_many = str(monodyn.mean_values.MAX_WORKERS + 1)
-        argv = ("sweep", "--r", "1", "--n", "2", "--t", "100")
-        if where == "flag":
-            argv += ("--threads", too_many)
-        else:
-            monkeypatch.setenv("MONODYN_THREADS", too_many)
+        argv = ("sweep", "--r", "1", "--n", "2", "--t", "100", "--threads", too_many)
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error:") and too_many in err
@@ -463,12 +449,12 @@ class TestSweep:
             f"error: n**r - 1 exceeds 2**63 - 1; for n = {n} no r is admissible\n"
         )
 
-    def test_threads_flag_overrides_environment(self, capsys, monkeypatch):
+    def test_threads_environment_is_ignored(self, capsys, monkeypatch):
+        argv = ("sweep", "--r", "12", "--n", "2", "--t", "100000", "--format", "csv")
+        plain = run(capsys, *argv)
         monkeypatch.setenv("MONODYN_THREADS", "abc")
-        code, _, _ = run(
-            capsys, "sweep", "--r", "1", "--n", "2", "--t", "100", "--threads", "1"
-        )
-        assert code == 0
+        assert run(capsys, *argv) == plain
+        assert plain[0] == 0
 
 
 class TestFfield:
@@ -907,7 +893,6 @@ class TestFuzz:
         out, err = io.StringIO(), io.StringIO()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-            mp.setenv("MONODYN_THREADS", "1")
             t0 = time.perf_counter()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(argv)
@@ -939,7 +924,7 @@ def heavy_loaded(lines: list[str]) -> list:
         "print(json.dumps([globals().get('code'), loaded]))",
     ])
     src = str(Path(monodyn.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=src, MONODYN_THREADS="1")
+    env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True, text=True, env=env, timeout=120,

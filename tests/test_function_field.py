@@ -45,17 +45,6 @@ class TestIrreducibleCounts:
         counts = irreducible_counts(q, 100)
         assert counts == [naive_irreducible_count(q, d) for d in range(1, 101)]
 
-    def test_degree_weighted_sum_is_q_to_the_d(self):
-        # every monic polynomial factors uniquely: sum over d | D of
-        # d * (count at d) = q**D
-        from monodyn.numtheory import divisors
-
-        for q in Q_RANGE:
-            counts = irreducible_counts(q, 20)
-            for D in range(1, 21):
-                total = sum(d * counts[d - 1] for d in divisors(D))
-                assert total == q**D, (q, D)
-
     def test_degree_past_int_str_limit(self):
         # 2**20000 has 6021 digits, over the default limit of 4300
         with pytest.raises(ResourceCapError):

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import monodyn.mean_values
-from monodyn.errors import InputRangeError, ResourceCapError
+from monodyn.errors import InputRangeError, InvariantViolation, ResourceCapError
 from monodyn.mean_values import (
     MAX_WORKERS,
     analytic_I,
@@ -25,8 +25,8 @@ from monodyn.numtheory import (
     SIEVE_SEGMENT,
     gcd_classes,
     max_exponent,
-    prime_array,
     prime_segment,
+    primes_up_to,
 )
 
 from oracles import (
@@ -159,7 +159,7 @@ class TestDirichletRoute:
 
     def test_class_histogram_matches_law(self):
         # the primes up to 10**6 per gcd class, against the exact law
-        primes = prime_array(10**6)
+        primes = prime_segment(0, 10**6 + 1, primes_up_to(1000))
         for r, s, n in LAW_TUPLES:
             L = n**r - 1
             law = class_law(L, s)
@@ -171,6 +171,20 @@ class TestDirichletRoute:
 
     def test_golden(self):
         assert dirichlet_D(1, 1, 13) == 7
+
+    def test_fractional_mean_is_an_invariant_violation(self, monkeypatch):
+        # for (1, 1, 3) no prime has gcd(p - 1, 2) = 1; a density of 1/3
+        # there makes the mean 11/3
+        real = monodyn.mean_values.class_law
+
+        def shifted(L, s):
+            law = real(L, s)
+            law[1] += Fraction(1, 3)
+            return law
+
+        monkeypatch.setattr(monodyn.mean_values, "class_law", shifted)
+        with pytest.raises(InvariantViolation, match="not integral: 11/3"):
+            dirichlet_D(1, 1, 3)
 
     def test_agrees_with_analytic(self):
         for r in range(1, 7):

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from monodyn import monomial
-from monodyn.errors import InputRangeError
+from monodyn.errors import InputRangeError, InvariantViolation
 from monodyn.monomial import (
     cycle_count,
     has_r_periodic,
@@ -140,6 +140,14 @@ class TestPeriodicCounts:
             for n in (2, 3, 5, 11):
                 assert periodic_count(q, n, r_hat(q, n)) > 0, (q, n)
 
+    def test_indivisible_count_is_an_invariant_violation(self, monkeypatch):
+        real = monomial.periodic_count
+        monkeypatch.setattr(
+            monomial, "periodic_count", lambda q, n, r: real(q, n, r) + (r == 2)
+        )
+        with pytest.raises(InvariantViolation, match="is not divisible by 2"):
+            cycle_count(19, 2, 2)
+
 
 class TestTotals:
     @given(st.sampled_from(PRIME_POWERS), st.integers(min_value=2, max_value=20))
@@ -219,6 +227,14 @@ class TestProfile:
             calls.clear()
             prof = monomial.profile(q, n)
             assert calls == Counter(divisors(prof.r_hat)), (q, n)
+
+    def test_negative_count_is_an_invariant_violation(self, monkeypatch):
+        real = monomial.periodic_count
+        monkeypatch.setattr(
+            monomial, "periodic_count", lambda q, n, r: -6 if r == 6 else real(q, n, r)
+        )
+        with pytest.raises(InvariantViolation, match="negative period-6 count"):
+            profile(19, 2)
 
     def test_second_profile_adds_no_mobius_terms_misses(self):
         info = monomial.mobius_terms.cache_info

@@ -24,7 +24,6 @@ from monodyn.numtheory import (
     mobius_terms,
     multiplicative_order,
     pow_minus_one,
-    prime_array,
     prime_powers_up_to,
     prime_segment,
     primes_up_to,
@@ -345,21 +344,20 @@ class TestPrimes:
     def test_cap(self):
         with pytest.raises(ResourceCapError):
             primes_up_to(SIEVE_CAP + 1)
-        with pytest.raises(ResourceCapError):
-            prime_array(SIEVE_CAP + 1)
         with pytest.raises(InputRangeError):
-            prime_array(-1)
+            primes_up_to(-1)
 
-    def test_odd_only_sieve_every_small_bound(self):
+    def test_every_small_bound(self):
         for t in range(301):
-            got = prime_array(t)
-            assert got.dtype == np.int64
-            assert got.tolist() == naive_primes(t), t
+            assert primes_up_to(t) == naive_primes(t), t
 
-    def test_odd_only_sieve_at_a_million(self):
-        got = prime_array(10**6)
-        assert got.size == 78498
-        assert got.tolist() == naive_primes(10**6)
+    def test_at_a_million(self):
+        assert primes_up_to(10**6) == naive_primes(10**6)
+
+    def test_past_two_segments(self):
+        # one sieve over the whole range, across two SIEVE_SEGMENT edges
+        t = 2 * SIEVE_SEGMENT + 60
+        assert primes_up_to(t) == naive_primes(t)
 
 
 class TestPrimeSegment:
