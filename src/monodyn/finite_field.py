@@ -12,17 +12,22 @@ global registry of fields.
 
 `mul` and `power` work on rows, elementwise, and the same loop serves
 one element and a batch; an int row times an array row scales the
-batch.  `mul` forms the schoolbook product in 2s - 1 rows, folds the
-degrees 2s-2 down to s back onto the lower rows with
-t**s = -(low part of the modulus), each folded row reduced mod p
-first, and reduces the s rows left mod p at the end; `power` squares
-and multiplies.  Both return a fresh list of s rows, except that
-`power(spec, x, 1)` returns x's own rows, so callers never write into
-a result.  Scalars stay on int rows: numpy's per-call overhead makes
-one-element arrays many times slower.  int64 cannot overflow: every
-product or fold term is below p**2, at most 2s of them add up in one
-row (s from the product, fewer than s from the fold), and q <= 2**22
-bounds p**2 by 2**44 and 2s by 44, so every entry stays below 2**50.
+batch.  `mul` forms the schoolbook product in 2s - 1 rows, each
+started from its first term, folds the degrees 2s-2 down to s back
+onto the lower rows with t**s = -(low part of the modulus), each
+folded row reduced mod p first, and reduces the s rows left mod p at
+the end; `power` squares and multiplies.  Both return a fresh list of
+s rows, except that `power(spec, x, 1)` returns x's own rows, so
+callers never write into a result.  Every reduction mod p, here and in
+`to_digits`, is c - c // p * p, in place on fresh rows: numpy divides
+an int64 array by a scalar with libdivide's multiply-and-shift but has
+no such path for % or divmod, which take two to three times as long.
+Int rows take the same expression.  Scalars stay on int rows: numpy's
+per-call overhead makes one-element arrays many times slower.  int64
+cannot overflow: every product or fold term is below p**2, at most 2s
+of them add up in one row (s from the product, fewer than s from the
+fold), and q <= 2**22 bounds p**2 by 2**44 and 2s by 44, so every
+entry stays below 2**50.
 
 `digits` gives the int rows of one index, `to_digits` and
 `from_digits` convert whole index arrays, and `batches` walks a field
@@ -117,18 +122,22 @@ def _smallest_irreducible(p: int, s: int) -> tuple[int, ...]:
 def mul(spec: FieldSpec, x: list, y: list) -> list:
     """x * y on coefficient rows, elementwise; a fresh list of s rows."""
     p, s = spec.p, spec.s
-    prod = [0] * (2 * s - 1)
-    for i in range(s):
+    prod = [x[0] * yj for yj in y]
+    for i in range(1, s):
         xi = x[i]
-        for j in range(s):
+        for j in range(s - 1):
             prod[i + j] += xi * y[j]
+        prod.append(xi * y[s - 1])
     # fold degrees >= s back down via t**s = -(low part of the modulus)
     fold = [(t, m) for t, m in enumerate(spec.modulus[:-1]) if m] if spec.modulus else []
     for k in range(2 * s - 2, s - 1, -1):
-        c = prod[k] % p
+        c = prod[k]
+        c -= c // p * p
         for t, m in fold:
             prod[k - s + t] -= m * c
-    return [c % p for c in prod[:s]]
+    for k in range(s):
+        prod[k] -= prod[k] // p * p
+    return prod[:s]
 
 
 def power(spec: FieldSpec, x: list, k: int) -> list:
@@ -155,9 +164,12 @@ def digits(spec: FieldSpec, i: int) -> list[int]:
 
 def to_digits(spec: FieldSpec, idx: np.ndarray) -> np.ndarray:
     """The (s, N) batch of the elements with the given indices."""
+    p = spec.p
     out = np.empty((spec.s, len(idx)), dtype=np.int64)
     for i in range(spec.s):
-        idx, out[i] = np.divmod(idx, spec.p)
+        quot = idx // p
+        np.subtract(idx, quot * p, out=out[i])
+        idx = quot
     return out
 
 

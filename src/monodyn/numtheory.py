@@ -331,10 +331,12 @@ def _gcd_tables(m: int) -> tuple[tuple, tuple]:
     by l once more, which makes it the table of gcd(i, M * l**e).  The
     moduli M = len(table) are pairwise coprime, at most _TABLE_CAP, and
     multiply with the larger prime powers, returned as (l, l**e), to m.
+    There is always a table: [1], of M = 1, when no prime power of m is
+    small enough.
     """
     import numpy as np
 
-    tables: list[np.ndarray] = []
+    tables = [np.ones(1, dtype=np.int64)]
     big = []
     for l, e in reversed(factorize(m)):
         le = l**e
@@ -361,9 +363,12 @@ def gcd_classes(values: np.ndarray, s: int, m: int) -> list[tuple[int, int]]:
     reduced mod m by one Python pow per value (x = -1 when m | v**s).
 
     gcd(x, m) is the product of its parts on coprime factors of m (CRT):
-    tab[x % len(tab)] for each table of _gcd_tables, where numpy's %
-    lands in [0, len(tab)) for x = -1 too, and for each larger prime
-    power one numpy gcd on just the x divisible by its prime.
+    tab[x - x // M * M] for each table of _gcd_tables, M = len(tab), and
+    for each larger prime power one numpy gcd on just the x divisible by
+    its prime l (x // l * l == x).  Residues are taken by floor division,
+    which numpy runs through libdivide for a scalar divisor (see
+    finite_field); it rounds toward -inf, so x = -1 lands on M - 1, and
+    x // M * M stays in [-M, x], inside int64.
     """
     import numpy as np
 
@@ -373,11 +378,11 @@ def gcd_classes(values: np.ndarray, s: int, m: int) -> list[tuple[int, int]]:
     else:
         x = np.array([pow(v, s, m) for v in values.tolist()], dtype=np.int64) - 1
     tables, big = _gcd_tables(m)
-    g = np.ones(len(x), dtype=np.int64)
-    for tab in tables:
-        g *= tab[x % len(tab)]
+    g, *rest = (tab[x - x // len(tab) * len(tab)] for tab in tables)
+    for part in rest:
+        g *= part
     for l, le in big:
-        hit = np.flatnonzero(x % l == 0)
+        hit = np.flatnonzero(x // l * l == x)
         g[hit] *= np.gcd(x[hit], le)
     classes, counts = np.unique(g, return_counts=True)
     return list(zip(classes.tolist(), counts.tolist()))

@@ -133,7 +133,8 @@ def mean_identities(
         units = xs[np.gcd(xs, l) == 1] if l > 1 else np.array([0])
         y = np.ones_like(units)
         for s in range(1, vs_max + 1):
-            y = y * units % l
+            y *= units
+            y -= y // l * l  # y mod l by floor division, as in finite_field.mul
             count = int(np.count_nonzero(y == 1 % l))
             if count != v_s(s, l):
                 failures.append((s, l, count, v_s(s, l)))

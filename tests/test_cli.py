@@ -258,6 +258,8 @@ REPORT_DIGESTS = [
     ("analyze --q 729 --n 4 --brute", 0, "7b367571ca2a644ae69c0a044ae90bb0"),
     ("analyze --q 729 --n 4 --a 5 --brute", 0, "dd2d0f0e9464443636875694c5663929"),
     ("analyze --q 65536 --n 65536 --brute", 0, "98f076dfb46d6921d67386a8b8a9ca7b"),
+    # extension fields whose reduced exponent makes the multiply run
+    ("analyze --q 59049 --n 4 --a 7 --brute", 0, "bdb2d660c23b678a033a8e94dc00e420"),
     ("analyze --q 12 --n 2", 2, "454b62dfad4d7b96c304ab8eccbc2f6f"),
     ("graph --q 7 --n 2", 0, "67f7ba3e7c76b48f196a010edf8c690e"),
     ("graph --q 7 --n 2 --format dot", 0, "81886c64d809a246a21e6acf89ec984c"),
@@ -266,6 +268,8 @@ REPORT_DIGESTS = [
     ("graph --q 9 --n 3 --format dot", 0, "311a029200ab4002b62b9d5bbe3d8fb9"),
     ("graph --q 729 --n 4", 0, "33342e13d0bb73666278c2a2d5557b4e"),
     ("graph --q 729 --n 4 --format dot", 0, "929a2e4bdd5f4189f491a63a268ae959"),
+    ("graph --q 1024 --n 3 --a 5", 0, "327a20a279be0386df0908a172a11d99"),
+    ("graph --q 2209 --n 5 --a 100 --format dot", 0, "00fc9b3ea23df7dafa481c88caffab07"),
     ("graph --q 8191 --n 3 --a 5", 0, "718451e8a348f81609758cb37085c7a9"),
     ("graph --q 8191 --n 3 --format dot", 0, "3e89cd4bd373a0e3177d32e5cb3f6bff"),
     # 65537 nodes: both per-node writers cross a JOIN_BLOCK boundary

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from monodyn import finite_field
 from monodyn.errors import InputRangeError, ResourceCapError
 from monodyn.finite_field import (
+    CHUNK,
     FIELD_CAP,
     digits,
     element_orders,
@@ -208,6 +209,35 @@ class TestBatches:
                     for i in range(q)
                 ]
                 assert got.tolist() == want, (p, s, k)
+
+    @pytest.mark.parametrize("p, s", [(2039, 2), (2, 22), (3, 13)])
+    def test_batch_arithmetic_at_the_int64_edge(self, p, s):
+        # the largest field of each shape under FIELD_CAP: the largest p
+        # with s = 2, the most fold rows, and p = 3.  Index q - 1 has
+        # every digit p - 1, so its products reach the largest row sums
+        spec = make_field(p, s)
+        q = spec.q
+        edge = np.array([0, 1, q - 2, q - 1, CHUNK - 1, CHUNK, CHUNK + 1], dtype=np.int64)
+        x = to_digits(spec, edge)
+        assert x.T.tolist() == [list(oracle_digits(spec, i)) for i in edge.tolist()]
+        assert from_digits(spec, x).tolist() == edge.tolist()
+        rng = np.random.default_rng(q)
+        xs = np.concatenate([edge, rng.integers(0, q, 2000)])
+        ys = np.concatenate([edge[::-1], rng.integers(0, q, 2000)])
+        got = from_digits(spec, mul(spec, to_digits(spec, xs), to_digits(spec, ys)))
+        want = [
+            undigits(spec, scalar_mul(spec, oracle_digits(spec, i), oracle_digits(spec, j)))
+            for i, j in zip(xs.tolist(), ys.tolist())
+        ]
+        assert got.tolist() == want
+        few = xs[:40]
+        for k in (q - 2, 3 * q + 1):
+            got = from_digits(spec, power(spec, to_digits(spec, few), k))
+            want = [
+                undigits(spec, scalar_power(spec, oracle_digits(spec, i), k))
+                for i in few.tolist()
+            ]
+            assert got.tolist() == want, k
 
     def test_element_times_batch(self):
         spec = make_field(3, 3)
