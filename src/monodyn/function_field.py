@@ -22,13 +22,13 @@ from math import gcd, log10
 
 from .errors import InputRangeError, InvariantViolation, ResourceCapError
 from .numtheory import (
+    MAX_INPUT,
     check_prime_power,
     coprime_part,
     divisors,
     euler_phi,
-    mobius_terms,
+    mobius_moduli,
     multiplicative_order,
-    pow_minus_one,
 )
 
 
@@ -72,10 +72,11 @@ def _check_str_digits(q: int, e: int, what: str) -> None:
 
 
 def _checked_order(q: int, r: int) -> int:
-    """ord_r(q), once q is a prime power, r >= 1 and gcd(r, q) = 1."""
+    """ord_r(q), once q is a prime power, 1 <= r <= 2**63 - 1 and gcd(r, q) = 1."""
     check_prime_power(q)
-    if r < 1:
-        raise InputRangeError(f"r must be >= 1, got {r}")
+    if not 1 <= r <= MAX_INPUT:
+        bound = ">= 1" if r < 1 else "at most 2**63 - 1"
+        raise InputRangeError(f"r must be {bound}, got {r}")
     if gcd(r, q) > 1:
         raise InputRangeError(f"r = {r} must be coprime to q = {q}")
     return multiplicative_order(q, r)
@@ -170,11 +171,6 @@ def dirichlet_mean_solutions(q: int, m: int) -> Fraction:
 def dirichlet_D_K(q: int, n: int, r: int) -> Fraction:
     """Dirichlet mean of the exact-period-r count over primes of F_q(T)."""
     check_prime_power(q)
-    if n < 2:
-        raise InputRangeError(f"n must be >= 2, got {n}")
-    if r < 1:
-        raise InputRangeError(f"r must be >= 1, got {r}")
     return sum(
-        mu * (dirichlet_mean_solutions(q, pow_minus_one(n, k)) + 1)
-        for mu, k in mobius_terms(r)
+        mu * (dirichlet_mean_solutions(q, M) + 1) for mu, M in mobius_moduli(r, n)
     )

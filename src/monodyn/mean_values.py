@@ -9,6 +9,10 @@ gcd class g of n**r - 1 (`class_law`) and F(g) the count of a prime in
 it; the empirical class histogram of `empirical_mean` is weighted by
 the same F.  The first two must agree, and the sweep sums exact
 integers, so every reported mean is a true rational; floats never enter.
+All three, and `divergence_series`, read the moduli n**k - 1, k | r,
+from one table, `numtheory.mobius_moduli`, which refuses n < 2, r < 1
+and r past the 63-bit cap on n**r - 1; each mean holds s to
+[1, 2**63 - 1] itself.
 
 Only `empirical_mean` works on arrays, through numtheory's sieve and
 gcd classes, and it imports the process pool only for more than one
@@ -28,13 +32,14 @@ from .errors import InputRangeError, InvariantViolation
 from .numtheory import (
     SIEVE_CAP,
     SIEVE_SEGMENT,
+    check_positive,
     check_sieve_bound,
     divisors,
     euler_phi,
     factorize,
     gcd_classes,
+    mobius_moduli,
     mobius_terms,
-    pow_minus_one,
     prime_segment,
     primes_up_to,
     v_s,
@@ -47,13 +52,6 @@ MAX_WORKERS = 64
 # at a time, since the table gathers and np.unique over a whole segment
 # (about 150000 primes) cost about 20 % more sweep time and 4 MB more RSS.
 _CLASS_BLOCK = 20000
-
-
-def _check_rsn(r: int, s: int, n: int) -> None:
-    if r < 1 or s < 1:
-        raise InputRangeError("r and s must be >= 1")
-    if n < 2:
-        raise InputRangeError(f"n must be >= 2, got {n}")
 
 
 def analytic_I(m: int, s: int) -> int:
@@ -69,21 +67,15 @@ def analytic_I(m: int, s: int) -> int:
 
 def analytic_N(r: int, s: int, n: int) -> int:
     """Limiting mean of the exact-period-r count of x -> x**n on GF(p**s)."""
-    _check_rsn(r, s, n)
-    return sum(
-        mu * (analytic_I(pow_minus_one(n, k), s) + 1) for mu, k in mobius_terms(r)
-    )
-
-
-def _terms(r: int, n: int) -> tuple[tuple[int, int], ...]:
-    """The Moebius terms (mu, n**k - 1) of r; the first is (1, n**r - 1)."""
-    return tuple((mu, pow_minus_one(n, k)) for mu, k in mobius_terms(r))
+    terms = mobius_moduli(r, n)
+    check_positive(s, "s")
+    return sum(mu * (analytic_I(M, s) + 1) for mu, M in terms)
 
 
 def _class_count(g: int, terms: tuple[tuple[int, int], ...]) -> int:
     """F(g): the period-r count of a prime with gcd(p**s - 1, n**r - 1) = g.
 
-    Exact, since each n**k - 1 of terms = _terms(r, n) divides n**r - 1.
+    Exact, since each n**k - 1 of terms = mobius_moduli(r, n) divides n**r - 1.
     """
     return sum(mu * (gcd(g, M) + 1) for mu, M in terms)
 
@@ -105,8 +97,8 @@ def class_law(L: int, s: int) -> dict[int, Fraction]:
 
 def dirichlet_D(r: int, s: int, n: int) -> int:
     """Dirichlet mean of the period-r count: sum of P(g) * F(g), g | n**r - 1."""
-    _check_rsn(r, s, n)
-    terms = _terms(r, n)
+    terms = mobius_moduli(r, n)
+    check_positive(s, "s")
     law = class_law(terms[0][1], s)
     total = sum(P * _class_count(g, terms) for g, P in law.items())
     if total.denominator != 1:
@@ -192,13 +184,13 @@ def empirical_mean(
     Only checkpoints=None means `default_checkpoints(t_max)`; an empty
     list is refused.
     """
-    _check_rsn(r, s, n)
+    terms = mobius_moduli(r, n)
+    check_positive(s, "s")
     check_sieve_bound(t_max)
     if t_max < 2:
         raise InputRangeError(f"t_max must be in [2, {SIEVE_CAP}], got {t_max}")
     if not 1 <= workers <= MAX_WORKERS:
         raise InputRangeError(f"workers must be in [1, {MAX_WORKERS}], got {workers}")
-    terms = _terms(r, n)
     L = terms[0][1]
     cps = default_checkpoints(t_max) if checkpoints is None else sorted(set(checkpoints))
     if not cps or any(not 2 <= c <= t_max for c in cps):
@@ -249,7 +241,7 @@ def divergence_series(mean, n: int, r_max: int) -> DivergenceSeries:
     Both series grow without bound; r_max is capped, before the first
     term, so n**r - 1 stays within 63 bits.
     """
-    pow_minus_one(n, r_max)  # refuses r_max < 1 and r_max past the cap
+    mobius_moduli(r_max, n)  # refuses n < 2, r_max < 1 and r_max past the cap
     vals = [mean(r) for r in range(1, r_max + 1)]
     cycles = accumulate(Fraction(val, r) for r, val in enumerate(vals, 1))
     return DivergenceSeries(tuple(accumulate(vals)), tuple(cycles))

@@ -22,13 +22,7 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import InputRangeError, InvariantViolation
-from .numtheory import (
-    coprime_part,
-    divisors,
-    factorize,
-    mobius_terms,
-    multiplicative_order,
-)
+from .numtheory import coprime_part, divisors, mobius_terms, multiplicative_order
 
 #: Formula-engine bound on q and n.
 FORMULA_CAP = 2**31
@@ -92,14 +86,15 @@ def has_r_periodic(q: int, n: int, r: int) -> bool:
     """Existence of an r-cycle for r >= 2: m_r divides none of m_1 .. m_{r-1}.
 
     Since gcd(m_j, m_r) = m_gcd(j, r) and m_d | m_{r/p} | m_r whenever
-    d | r/p, this holds iff m_{r/p} != m_r for every prime p | r, and
-    only those terms are evaluated.
+    d | r/p, this holds iff m_{r/p} != m_r for every prime p | r.  The
+    terms (-1, k) of mobius_terms(r) hold every r/p, and each other k
+    divides one, so only iterates that periodic_count reads are evaluated.
     """
     _check(q, n)
     if r < 2:
         raise InputRangeError("r must be >= 2; a fixed point (the origin) always exists")
     mr = m_j(q, n, r)
-    return all(m_j(q, n, r // p) != mr for p, _ in factorize(r))
+    return all(m_j(q, n, k) != mr for mu, k in mobius_terms(r) if mu < 0)
 
 
 def is_fixed_point_system(q: int, n: int) -> bool:

@@ -6,7 +6,9 @@ leaves larger factors to Miller-Rabin and Brent's rho; it is cached,
 since sweeps hit the same moduli over and over.
 Inputs are held to a 63-bit cap, which keeps the contracts portable;
 Python integers never overflow, so the cap is a scale limit, not a
-safety net.
+safety net.  Every mean of the period-r count is a Moebius sum over
+the moduli n**k - 1, k | r, and one table forms them, `mobius_moduli`,
+after holding r to that cap on n**r - 1.
 
 Only the prime sieve and the gcd-class counts of a prime sweep
 (`prime_segment`, `_gcd_tables`, `gcd_classes`) work on arrays; they
@@ -47,7 +49,8 @@ _TABLE_CAP = 2**16
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-def _check_positive(m: int, name: str = "m") -> None:
+def check_positive(m: int, name: str = "m") -> None:
+    """Refuse, by name, an m outside [1, 2**63 - 1]."""
     if not 1 <= m <= MAX_INPUT:
         raise InputRangeError(f"{name} must be in [1, 2**63 - 1], got {m}")
 
@@ -114,7 +117,7 @@ def factorize(m: int) -> tuple[tuple[int, int], ...]:
     is below d * d, since no prime below d (the first divisor not tried)
     divides it, or when is_prime says so; Brent's rho splits the rest.
     """
-    _check_positive(m)
+    check_positive(m)
     found: dict[int, int] = {}
     v = m
     for d in (2, 3):
@@ -161,6 +164,7 @@ def mobius_terms(r: int) -> tuple[tuple[int, int], ...]:
     Cached: a sweep over many (q, n) asks for the same few hundred r
     again and again.
     """
+    check_positive(r, "r")
     terms = [(1, 1)]
     for p, _ in factorize(r):
         terms += [(-mu, d * p) for mu, d in terms]
@@ -189,8 +193,8 @@ def multiplicative_order(a: int, m: int) -> int:
 
     Starts from phi(m) and strips prime factors that are not needed.
     """
-    _check_positive(a, "a")
-    _check_positive(m, "modulus")
+    check_positive(a, "a")
+    check_positive(m, "modulus")
     if m == 1:
         return 1
     if math.gcd(a, m) != 1:
@@ -211,8 +215,8 @@ def v_s(s: int, l: int) -> int:
     solutions there, and mod 2**e it splits as Z/2 x Z/2**(e-2) once
     e >= 3.
     """
-    _check_positive(s, "s")
-    _check_positive(l, "l")
+    check_positive(s, "s")
+    check_positive(l, "l")
     count = 1
     for p, e in factorize(l):
         if p == 2:
@@ -229,8 +233,8 @@ def v_s(s: int, l: int) -> int:
 
 def coprime_part(m: int, n: int) -> int:
     """Largest divisor of m coprime to n."""
-    _check_positive(m)
-    _check_positive(n, "n")
+    check_positive(m)
+    check_positive(n, "n")
     g = math.gcd(m, n)
     while g > 1:
         m //= g
@@ -248,19 +252,21 @@ def max_exponent(n: int) -> int:
     return r
 
 
-def pow_minus_one(n: int, r: int) -> int:
-    """n**r - 1, rejected once it leaves the 63-bit input range.
+def mobius_moduli(r: int, n: int) -> tuple[tuple[int, int], ...]:
+    """(mu, n**k - 1) over mobius_terms(r); the first is (1, n**r - 1).
 
-    r is compared with max_exponent(n) before any power is formed, so a
-    huge r costs nothing.
+    The one table of the moduli of every mean of the period-r count of
+    x -> x**n, which is a Moebius sum over them.  n >= 2, r >= 1 and
+    r <= max_exponent(n) are checked before r is factorized or any power
+    is formed, so a huge r costs nothing.
     """
-    if n < 2 or r < 1:
-        raise InputRangeError("need n >= 2 and r >= 1")
     cap = max_exponent(n)
-    if r <= cap:
-        return n**r - 1
-    limit = f"the largest admissible r is {cap}" if cap else "no r is admissible"
-    raise InputRangeError(f"n**r - 1 exceeds 2**63 - 1; for n = {n} {limit}")
+    if r < 1:
+        raise InputRangeError(f"r must be >= 1, got {r}")
+    if r > cap:
+        limit = f"the largest admissible r is {cap}" if cap else "no r is admissible"
+        raise InputRangeError(f"n**r - 1 exceeds 2**63 - 1; for n = {n} {limit}")
+    return tuple((mu, n**k - 1) for mu, k in mobius_terms(r))
 
 
 def check_sieve_bound(t: int) -> None:

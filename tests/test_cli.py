@@ -453,6 +453,39 @@ class TestSweep:
             f"error: n**r - 1 exceeds 2**63 - 1; for n = {n} no r is admissible\n"
         )
 
+    def test_s_past_63_bits_refused_at_r_one_n_two(self, capsys):
+        # n**r - 1 = 1 has no divisor above 1, so no v_s call sees s there
+        s = str(2**64)
+        code, out, err = run(capsys, "sweep", "--r", "1", "--n", "2", "--s", s, "--t", "1000")
+        assert (code, out) == (2, "")
+        assert err == f"error: s must be in [1, 2**63 - 1], got {s}\n"
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            ("--r 0 --n 2", "r must be >= 1, got 0"),
+            ("--r 1 --s 0 --n 2", "s must be in [1, 2**63 - 1], got 0"),
+            ("--r 0 --s 0 --n 2", "r must be >= 1, got 0"),
+        ],
+    )
+    def test_r_and_s_below_one_named(self, capsys, argv, line):
+        code, out, err = run(capsys, "sweep", *argv.split(), "--t", "100")
+        assert (code, out, err) == (2, "", f"error: {line}\n")
+
+    def test_r_past_63_bits_named_by_its_cap(self, capsys):
+        r = str(10**30 + 1)
+        code, out, err = run(capsys, "sweep", "--r", r, "--n", "2", "--t", "100")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: n**r - 1 exceeds 2**63 - 1; for n = 2 the largest admissible r is 63\n"
+        )
+
+    def test_r_cap_refused_before_the_sieve_cap(self, capsys):
+        argv = ("sweep", "--r", "64", "--n", "2", "--t", "100000001")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: n**r - 1 exceeds") and err.count("\n") == 1
+
     def test_threads_environment_is_ignored(self, capsys, monkeypatch):
         argv = ("sweep", "--r", "12", "--n", "2", "--t", "100000", "--format", "csv")
         plain = run(capsys, *argv)
@@ -538,6 +571,15 @@ class TestFfield:
     def test_density_of_r_zero_refused(self, capsys):
         code, out, err = run(capsys, "ffield", "--q", "2", "--r", "0", "--density")
         assert (code, out, err) == (2, "", "error: r must be >= 1, got 0\n")
+
+    @pytest.mark.parametrize(
+        "mode", [["--density"], ["--oscillate", "--t", "50"]], ids=["density", "oscillate"]
+    )
+    def test_r_past_63_bits_named(self, capsys, mode):
+        r = str(10**30 + 1)
+        code, out, err = run(capsys, "ffield", "--q", "3", "--r", r, *mode)
+        assert (code, out) == (2, "")
+        assert err == f"error: r must be at most 2**63 - 1, got {r}\n"
 
     @pytest.mark.parametrize(
         "mode", [["--density"], ["--dmean", "--n", "2"]], ids=["density", "dmean"]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import monodyn.mean_values
 from monodyn.errors import InputRangeError, InvariantViolation, ResourceCapError
+from monodyn.function_field import dirichlet_D_K
 from monodyn.mean_values import (
     MAX_WORKERS,
     analytic_I,
@@ -449,3 +450,48 @@ class TestDivergence:
         with pytest.raises(InputRangeError) as err:
             divergence_series(lambda r: analytic_N(r, 1, 2), 2, cap + 1)
         assert str(cap) in str(err.value)
+
+
+#: Every mean of the period-r count, called at (r, n) with s = 1, q = 3
+#: and t_max = 1000.
+MEANS = {
+    "analytic_N": lambda r, n: analytic_N(r, 1, n),
+    "dirichlet_D": lambda r, n: dirichlet_D(r, 1, n),
+    "empirical_mean": lambda r, n: empirical_mean(r, 1, n, 1000),
+    "dirichlet_D_K": lambda r, n: dirichlet_D_K(3, n, r),
+    "divergence_series": lambda r, n: divergence_series(
+        lambda k: analytic_N(k, 1, n), n, r
+    ),
+}
+
+CAP_TEXT = "n**r - 1 exceeds 2**63 - 1; for n = 2 the largest admissible r is 63"
+
+
+class TestOneModuliTable:
+    @pytest.mark.parametrize("mean", MEANS)
+    @pytest.mark.parametrize(
+        "r, n, text",
+        [
+            (0, 2, "r must be >= 1, got 0"),
+            (1, 1, "n must be >= 2, got 1"),
+            (64, 2, CAP_TEXT),
+            (10**30, 2, CAP_TEXT),
+        ],
+    )
+    def test_every_mean_refuses_alike(self, mean, r, n, text):
+        with pytest.raises(InputRangeError) as err:
+            MEANS[mean](r, n)
+        assert str(err.value) == text
+        assert "m must" not in text and "modulus" not in text
+
+    @pytest.mark.parametrize("mean", [analytic_N, dirichlet_D])
+    @pytest.mark.parametrize("s", [0, 2**63, 2**64])
+    def test_s_bounded_at_r_one_n_two(self, mean, s):
+        # n**r - 1 = 1 there, so no v_s call would see s
+        with pytest.raises(InputRangeError) as err:
+            mean(1, s, 2)
+        assert str(err.value) == f"s must be in [1, 2**63 - 1], got {s}"
+
+    def test_s_bounded_in_the_sweep(self):
+        with pytest.raises(InputRangeError, match=r"^s must be in"):
+            empirical_mean(1, 2**64, 2, 1000)

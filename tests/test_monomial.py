@@ -127,6 +127,13 @@ class TestPeriodicCounts:
         with pytest.raises(InputRangeError):
             has_r_periodic(7, 2, 0)
 
+    @pytest.mark.parametrize("count", [periodic_count, has_r_periodic])
+    def test_r_past_63_bits_named(self, count):
+        r = 10**30
+        with pytest.raises(InputRangeError) as err:
+            count(7, 2, r)
+        assert str(err.value) == f"r must be in [1, 2**63 - 1], got {r}"
+
     @given(
         st.sampled_from(PRIME_POWERS),
         st.integers(min_value=2, max_value=16),

@@ -21,9 +21,9 @@ from monodyn.numtheory import (
     gcd_classes,
     is_prime,
     max_exponent,
+    mobius_moduli,
     mobius_terms,
     multiplicative_order,
-    pow_minus_one,
     prime_powers_up_to,
     prime_segment,
     primes_up_to,
@@ -302,27 +302,34 @@ class TestCoprimePart:
 
 
 class TestPowMinusOne:
+    """The cap on n**r - 1, held by mobius_moduli, the one table of it."""
+
     def test_exact_cap_boundary(self):
         assert max_exponent(2) == 63
-        assert pow_minus_one(2, 63) == 2**63 - 1
+        assert mobius_moduli(63, 2)[0] == (1, 2**63 - 1)
         with pytest.raises(InputRangeError) as err:
-            pow_minus_one(2, 64)
+            mobius_moduli(64, 2)
         assert "63" in str(err.value)
 
     def test_input_errors(self):
         with pytest.raises(InputRangeError):
             max_exponent(1)
         with pytest.raises(InputRangeError):
-            pow_minus_one(1, 3)
+            mobius_moduli(3, 1)
 
     def test_no_admissible_exponent(self):
         # n - 1 <= 2**63 - 1 exactly when n <= 2**63
         assert max_exponent(2**63) == 1
-        assert pow_minus_one(2**63, 1) == MAX_INPUT
+        assert mobius_moduli(1, 2**63) == ((1, MAX_INPUT),)
         assert max_exponent(2**63 + 1) == 0
         with pytest.raises(InputRangeError) as err:
-            pow_minus_one(2**63 + 1, 1)
+            mobius_moduli(1, 2**63 + 1)
         assert "no r is admissible" in str(err.value)
+
+    @given(st.integers(min_value=1, max_value=39), st.integers(min_value=2, max_value=3))
+    def test_moduli_follow_mobius_terms(self, r, n):
+        want = tuple((sign, n**k - 1) for sign, k in mobius_terms(r))
+        assert mobius_moduli(r, n) == want
 
     @given(st.integers(min_value=2, max_value=100))
     def test_max_exponent_is_tight(self, n):
