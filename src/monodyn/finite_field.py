@@ -78,8 +78,8 @@ def make_field(p: int, s: int = 1) -> FieldSpec:
         raise InputRangeError(f"extension degree must be >= 1, got {s}")
     if not is_prime(p):
         raise InputRangeError(f"field characteristic must be prime, got {p}")
-    q = p**s
-    if q > FIELD_CAP:
+    # p >= 2, so a degree past the cap's bit length is refused unpowered
+    if s >= FIELD_CAP.bit_length() or (q := p**s) > FIELD_CAP:
         raise ResourceCapError(f"field size {p}**{s} exceeds the cap {FIELD_CAP}")
     if s == 1:
         return FieldSpec(p, 1, q, None)

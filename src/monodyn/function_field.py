@@ -22,8 +22,8 @@ from math import gcd, log10
 
 from .errors import InputRangeError, InvariantViolation, ResourceCapError
 from .numtheory import (
-    MAX_INPUT,
     check_prime_power,
+    check_r,
     coprime_part,
     divisors,
     euler_phi,
@@ -74,9 +74,7 @@ def _check_str_digits(q: int, e: int, what: str) -> None:
 def _checked_order(q: int, r: int) -> int:
     """ord_r(q), once q is a prime power, 1 <= r <= 2**63 - 1 and gcd(r, q) = 1."""
     check_prime_power(q)
-    if not 1 <= r <= MAX_INPUT:
-        bound = ">= 1" if r < 1 else "at most 2**63 - 1"
-        raise InputRangeError(f"r must be {bound}, got {r}")
+    check_r(r)
     if gcd(r, q) > 1:
         raise InputRangeError(f"r = {r} must be coprime to q = {q}")
     return multiplicative_order(q, r)
@@ -159,8 +157,6 @@ def dirichlet_mean_solutions(q: int, m: int) -> Fraction:
     phi(k) / ord_k(q) over divisors k of the q-coprime part of m.
     """
     check_prime_power(q)
-    if m < 1:
-        raise InputRangeError(f"m must be >= 1, got {m}")
     m_star = coprime_part(m, q)
     return sum(
         (Fraction(euler_phi(k), multiplicative_order(q, k)) for k in divisors(m_star)),

@@ -73,7 +73,7 @@ class DynSystem:
 def monomial_system(field: FieldSpec, n: int, a_index: int = 1) -> DynSystem:
     """The dynamical system x -> a * x**n with a given by element index."""
     if n < 2:
-        raise InputRangeError(f"exponent must be >= 2, got {n}")
+        raise InputRangeError(f"n must be >= 2, got {n}")
     if not 1 <= a_index < field.q:
         raise InputRangeError(
             f"coefficient index must name a nonzero element, got {a_index}"

@@ -67,8 +67,6 @@ def periodic_count(q: int, n: int, r: int) -> int:
     Vanishes whenever r does not divide r_hat(q, n).
     """
     _check(q, n)
-    if r < 1:
-        raise InputRangeError(f"period must be >= 1, got {r}")
     return sum(mu * (m_j(q, n, k) + 1) for mu, k in mobius_terms(r))
 
 

@@ -6,9 +6,9 @@ leaves larger factors to Miller-Rabin and Brent's rho; it is cached,
 since sweeps hit the same moduli over and over.
 Inputs are held to a 63-bit cap, which keeps the contracts portable;
 Python integers never overflow, so the cap is a scale limit, not a
-safety net.  Every mean of the period-r count is a Moebius sum over
-the moduli n**k - 1, k | r, and one table forms them, `mobius_moduli`,
-after holding r to that cap on n**r - 1.
+safety net.  `check_r` is the one refusal of a period r.  Every mean
+of the period-r count is a Moebius sum over the moduli n**k - 1, k | r;
+one table, `mobius_moduli`, forms them once n**r - 1 is held to that cap.
 
 Only the prime sieve and the gcd-class counts of a prime sweep
 (`prime_segment`, `_gcd_tables`, `gcd_classes`) work on arrays; they
@@ -53,6 +53,13 @@ def check_positive(m: int, name: str = "m") -> None:
     """Refuse, by name, an m outside [1, 2**63 - 1]."""
     if not 1 <= m <= MAX_INPUT:
         raise InputRangeError(f"{name} must be in [1, 2**63 - 1], got {m}")
+
+
+def check_r(r: int) -> None:
+    """Refuse a period r outside [1, 2**63 - 1]: the one check of r."""
+    if not 1 <= r <= MAX_INPUT:
+        bound = ">= 1" if r < 1 else "at most 2**63 - 1"
+        raise InputRangeError(f"r must be {bound}, got {r}")
 
 
 def is_prime(m: int) -> bool:
@@ -164,7 +171,7 @@ def mobius_terms(r: int) -> tuple[tuple[int, int], ...]:
     Cached: a sweep over many (q, n) asks for the same few hundred r
     again and again.
     """
-    check_positive(r, "r")
+    check_r(r)
     terms = [(1, 1)]
     for p, _ in factorize(r):
         terms += [(-mu, d * p) for mu, d in terms]
@@ -256,13 +263,11 @@ def mobius_moduli(r: int, n: int) -> tuple[tuple[int, int], ...]:
     """(mu, n**k - 1) over mobius_terms(r); the first is (1, n**r - 1).
 
     The one table of the moduli of every mean of the period-r count of
-    x -> x**n, which is a Moebius sum over them.  n >= 2, r >= 1 and
+    x -> x**n, which is a Moebius sum over them.  n >= 2 and the cap
     r <= max_exponent(n) are checked before r is factorized or any power
-    is formed, so a huge r costs nothing.
+    is formed, so a huge r costs nothing; mobius_terms refuses r < 1.
     """
     cap = max_exponent(n)
-    if r < 1:
-        raise InputRangeError(f"r must be >= 1, got {r}")
     if r > cap:
         limit = f"the largest admissible r is {cap}" if cap else "no r is admissible"
         raise InputRangeError(f"n**r - 1 exceeds 2**63 - 1; for n = {n} {limit}")
@@ -289,6 +294,7 @@ def prime_segment(lo: int, hi: int, base: list[int]) -> np.ndarray:
     """
     import numpy as np
 
+    check_sieve_bound(hi - 1)
     # first flag whose number is >= lo: lo // 3, unless lo = 6i + 2,
     # whose flag lo // 3 stands for 6i + 1
     j_lo = lo // 3 + (lo % 6 == 2)

@@ -179,6 +179,10 @@ class TestGraph:
         assert code == 3
         assert "error" in err
 
+    def test_n_below_two_named(self, capsys):
+        code, out, err = run(capsys, "graph", "--q", "7", "--n", "1")
+        assert (code, out, err) == (2, "", "error: n must be >= 2, got 1\n")
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "graph.json"
         code, out, _ = run(

@@ -1,4 +1,5 @@
 import hashlib
+import time
 
 import numpy as np
 import pytest
@@ -65,6 +66,16 @@ class TestConstruction:
         with pytest.raises(ResourceCapError):
             make_field(2, 23)
         assert make_field(2, 22).q == FIELD_CAP
+
+    def test_huge_degree_refused_before_any_power(self):
+        # 2**(10**9) alone would take seconds and hundreds of MB
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceCapError) as err:
+            make_field(2, 10**9)
+        assert time.perf_counter() - t0 < 0.5
+        assert str(err.value) == f"field size 2**{10**9} exceeds the cap {FIELD_CAP}"
+        with pytest.raises(InputRangeError):
+            make_field(6, 10**9)  # primality is checked before the cap
 
     def test_every_modulus_pinned(self):
         # the moduli of all 400 extension fields up to the cap, digested

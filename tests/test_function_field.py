@@ -223,6 +223,12 @@ class TestDirichletMeans:
         with pytest.raises(InputRangeError):
             dirichlet_D_K(2, 2, 0)
 
+    @pytest.mark.parametrize("m", [0, 2**64])
+    def test_m_refused_with_the_factorization_text(self, m):
+        with pytest.raises(InputRangeError) as err:
+            dirichlet_mean_solutions(2, m)
+        assert str(err.value) == f"m must be in [1, 2**63 - 1], got {m}"
+
 
 class TestDivergenceK:
     def test_partial_sums_grow_without_bound(self):

@@ -132,7 +132,22 @@ class TestPeriodicCounts:
         r = 10**30
         with pytest.raises(InputRangeError) as err:
             count(7, 2, r)
-        assert str(err.value) == f"r must be in [1, 2**63 - 1], got {r}"
+        assert str(err.value) == f"r must be at most 2**63 - 1, got {r}"
+
+    @pytest.mark.parametrize("count", [periodic_count, cycle_count])
+    @pytest.mark.parametrize(
+        "r, line",
+        [
+            (0, "r must be >= 1, got 0"),
+            (-1, "r must be >= 1, got -1"),
+            (10**30, f"r must be at most 2**63 - 1, got {10**30}"),
+        ],
+        ids=["zero", "negative", "past_63_bits"],
+    )
+    def test_r_refused_with_the_command_texts(self, count, r, line):
+        with pytest.raises(InputRangeError) as err:
+            count(7, 2, r)
+        assert str(err.value) == line
 
     @given(
         st.sampled_from(PRIME_POWERS),

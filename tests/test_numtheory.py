@@ -232,6 +232,25 @@ class TestDivisorFunctions:
         )
         assert mobius_terms(r) == want
 
+    @pytest.mark.parametrize(
+        "r, line",
+        [
+            (0, "r must be >= 1, got 0"),
+            (-1, "r must be >= 1, got -1"),
+            (10**30, f"r must be at most 2**63 - 1, got {10**30}"),
+            (MAX_INPUT + 1, f"r must be at most 2**63 - 1, got {MAX_INPUT + 1}"),
+        ],
+        ids=["zero", "negative", "past_63_bits", "two_to_63"],
+    )
+    def test_mobius_terms_refuses_r_with_the_command_texts(self, r, line):
+        with pytest.raises(InputRangeError) as err:
+            mobius_terms(r)
+        assert str(err.value) == line
+
+    def test_mobius_terms_at_the_r_cap(self):
+        # 2**63 - 1 = 7**2 * 73 * 127 * 337 * 92737 * 649657
+        assert len(mobius_terms(MAX_INPUT)) == 2**6
+
 
 class TestMultiplicativeOrder:
     def test_goldens(self):
@@ -394,6 +413,18 @@ class TestPrimeSegment:
             for lo, hi in ranges:
                 want = primes[bisect_left(primes, lo) : bisect_left(primes, hi)]
                 assert prime_segment(lo, hi, base).tolist() == want, (lo, hi)
+
+    def test_sieve_cap(self):
+        # hi - 1, the largest number sieved, is held to SIEVE_CAP
+        with pytest.raises(ResourceCapError):
+            prime_segment(SIEVE_CAP, SIEVE_CAP + 2, [])
+
+    def test_last_edge_at_the_cap_accepted(self):
+        # hi = SIEVE_CAP + 1 is the last edge of a sweep at the cap
+        lo, hi = SIEVE_CAP - 100, SIEVE_CAP + 1
+        got = prime_segment(lo, hi, primes_up_to(10**4)).tolist()
+        assert got == [v for v in range(lo, hi) if naive_is_prime(v)]
+        assert len(got) == 5
 
 
 class TestGcdClasses:
