@@ -32,7 +32,7 @@ import sys
 
 from . import function_field, mean_values, monomial
 from .errors import InputRangeError, InvariantViolation, ResourceCapError
-from .numtheory import check_prime_power
+from .numtheory import check_prime_power, check_range
 from .reporting import comment_header, envelope, ff_csv, render_json, sweep_csv
 
 #: Characters of a report handed to the file per write.
@@ -206,9 +206,7 @@ def _parse_checkpoints(text: str | None) -> list[int] | None:
 
 
 def _cmd_sweep(args) -> tuple:
-    cap = mean_values.MAX_WORKERS
-    if not 1 <= args.threads <= cap:
-        raise InputRangeError(f"--threads must be in [1, {cap}], got {args.threads}")
+    check_range(args.threads, "--threads", 1, mean_values.MAX_WORKERS)
     rep = mean_values.empirical_mean(
         args.r,
         args.s,

@@ -53,7 +53,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InputRangeError, ResourceCapError
-from .numtheory import factorize, is_prime
+from .numtheory import check_range, factorize, int_text, is_prime
 
 #: Largest field that may be materialized element by element.
 FIELD_CAP = 2**22
@@ -74,13 +74,13 @@ class FieldSpec:
 @lru_cache(maxsize=None)
 def make_field(p: int, s: int = 1) -> FieldSpec:
     """Construct GF(p**s) with the deterministic defining polynomial."""
-    if s < 1:
-        raise InputRangeError(f"extension degree must be >= 1, got {s}")
+    check_range(s, "s", 1)
     if not is_prime(p):
-        raise InputRangeError(f"field characteristic must be prime, got {p}")
+        raise InputRangeError(f"field characteristic must be prime, got {int_text(p)}")
     # p >= 2, so a degree past the cap's bit length is refused unpowered
     if s >= FIELD_CAP.bit_length() or (q := p**s) > FIELD_CAP:
-        raise ResourceCapError(f"field size {p}**{s} exceeds the cap {FIELD_CAP}")
+        size = f"{p}**{int_text(s)}"
+        raise ResourceCapError(f"field size {size} exceeds the cap {FIELD_CAP}")
     if s == 1:
         return FieldSpec(p, 1, q, None)
     return FieldSpec(p, s, q, _smallest_irreducible(p, s) + (1,))

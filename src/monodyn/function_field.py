@@ -22,8 +22,9 @@ from math import gcd, log10
 
 from .errors import InputRangeError, InvariantViolation, ResourceCapError
 from .numtheory import (
+    check_positive,
     check_prime_power,
-    check_r,
+    check_range,
     coprime_part,
     divisors,
     euler_phi,
@@ -40,8 +41,7 @@ def irreducible_counts(q: int, t: int) -> list[int]:
     increasing d adds each d * I(d) to lower[m] at its multiples m.
     """
     check_prime_power(q)
-    if t < 0:
-        raise InputRangeError(f"t must be >= 0, got {t}")
+    check_range(t, "t", 0)
     _check_str_digits(q, t, f"degree bound {t} gives counts")
     lower = [0] * (t + 1)
     counts = []
@@ -74,7 +74,7 @@ def _check_str_digits(q: int, e: int, what: str) -> None:
 def _checked_order(q: int, r: int) -> int:
     """ord_r(q), once q is a prime power, 1 <= r <= 2**63 - 1 and gcd(r, q) = 1."""
     check_prime_power(q)
-    check_r(r)
+    check_positive(r, "r")
     if gcd(r, q) > 1:
         raise InputRangeError(f"r = {r} must be coprime to q = {q}")
     return multiplicative_order(q, r)

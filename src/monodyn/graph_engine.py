@@ -54,7 +54,7 @@ from .finite_field import (
     mul,
     power,
 )
-from .numtheory import divisors, multiplicative_order
+from .numtheory import check_range, divisors, multiplicative_order
 
 
 #: Graphs of at most this many nodes are decomposed with intp index
@@ -72,12 +72,8 @@ class DynSystem:
 
 def monomial_system(field: FieldSpec, n: int, a_index: int = 1) -> DynSystem:
     """The dynamical system x -> a * x**n with a given by element index."""
-    if n < 2:
-        raise InputRangeError(f"n must be >= 2, got {n}")
-    if not 1 <= a_index < field.q:
-        raise InputRangeError(
-            f"coefficient index must name a nonzero element, got {a_index}"
-        )
+    check_range(n, "n", 2)
+    check_range(a_index, "a", 1, field.q - 1)
     return DynSystem(field, n, a_index)
 
 
@@ -248,10 +244,8 @@ def star_strongly_connected(st: OrbitStructure) -> bool:
 def is_mth_power(spec: FieldSpec, a_index: int, m: int) -> bool:
     """Membership of element a_index in the subgroup of m-th powers of
     the unit group."""
-    if not 1 <= a_index < spec.q:
-        raise InputRangeError(f"unit index must be in [1, {spec.q}), got {a_index}")
-    if m < 1:
-        raise InputRangeError(f"power index must be >= 1, got {m}")
+    check_range(a_index, "a", 1, spec.q - 1)
+    check_range(m, "m", 1)
     e = (spec.q - 1) // gcd(m, spec.q - 1)
     return power(spec, digits(spec, a_index), e) == digits(spec, 1)
 

@@ -10,9 +10,9 @@ it; the empirical class histogram of `empirical_mean` is weighted by
 the same F.  The first two must agree, and the sweep sums exact
 integers, so every reported mean is a true rational; floats never enter.
 All three, and `divergence_series`, read the moduli n**k - 1, k | r,
-from one table, `numtheory.mobius_moduli`, which refuses n < 2, r < 1
-and r past the 63-bit cap on n**r - 1; each mean holds s to
-[1, 2**63 - 1] itself.
+from one table, `numtheory.mobius_moduli`, which also refuses n**r - 1
+past 2**63 - 1; n, r, s, t_max and workers are refused by
+`numtheory.check_range`, by name, bound and value.
 
 Only `empirical_mean` works on arrays, through numtheory's sieve and
 gcd classes, and it imports the process pool only for more than one
@@ -30,9 +30,9 @@ from math import gcd, isqrt, prod
 
 from .errors import InputRangeError, InvariantViolation
 from .numtheory import (
-    SIEVE_CAP,
     SIEVE_SEGMENT,
     check_positive,
+    check_range,
     check_sieve_bound,
     divisors,
     euler_phi,
@@ -186,11 +186,9 @@ def empirical_mean(
     """
     terms = mobius_moduli(r, n)
     check_positive(s, "s")
+    check_range(t_max, "t_max", 2)
     check_sieve_bound(t_max)
-    if t_max < 2:
-        raise InputRangeError(f"t_max must be in [2, {SIEVE_CAP}], got {t_max}")
-    if not 1 <= workers <= MAX_WORKERS:
-        raise InputRangeError(f"workers must be in [1, {MAX_WORKERS}], got {workers}")
+    check_range(workers, "workers", 1, MAX_WORKERS)
     L = terms[0][1]
     cps = default_checkpoints(t_max) if checkpoints is None else sorted(set(checkpoints))
     if not cps or any(not 2 <= c <= t_max for c in cps):

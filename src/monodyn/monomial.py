@@ -22,17 +22,16 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import InputRangeError, InvariantViolation
-from .numtheory import coprime_part, divisors, mobius_terms, multiplicative_order
+from .numtheory import check_range, coprime_part, divisors
+from .numtheory import mobius_terms, multiplicative_order
 
 #: Formula-engine bound on q and n.
 FORMULA_CAP = 2**31
 
 
 def _check(q: int, n: int) -> None:
-    if not 2 <= q <= FORMULA_CAP:
-        raise InputRangeError(f"q must be in [2, 2**31], got {q}")
-    if not 2 <= n <= FORMULA_CAP:
-        raise InputRangeError(f"n must be in [2, 2**31], got {n}")
+    check_range(q, "q", 2, FORMULA_CAP)
+    check_range(n, "n", 2, FORMULA_CAP)
 
 
 @lru_cache(maxsize=65536)
@@ -43,8 +42,7 @@ def m_j(q: int, n: int, j: int) -> int:
     (q, n).
     """
     _check(q, n)
-    if j < 1:
-        raise InputRangeError(f"iterate index must be >= 1, got {j}")
+    check_range(j, "j", 1)
     M = q - 1
     t = pow(n, j, M)
     return gcd((t + M - 1) % M, M)

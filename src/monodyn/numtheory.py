@@ -6,9 +6,10 @@ leaves larger factors to Miller-Rabin and Brent's rho; it is cached,
 since sweeps hit the same moduli over and over.
 Inputs are held to a 63-bit cap, which keeps the contracts portable;
 Python integers never overflow, so the cap is a scale limit, not a
-safety net.  `check_r` is the one refusal of a period r.  Every mean
-of the period-r count is a Moebius sum over the moduli n**k - 1, k | r;
-one table, `mobius_moduli`, forms them once n**r - 1 is held to that cap.
+safety net.  `check_range` is the one refusal of a bounded integer,
+naming input, bound and value (past the int-to-str limit, by its bit
+length: `int_text`).  Every mean of the period-r count is a Moebius sum
+over the moduli n**k - 1, k | r; `mobius_moduli` is their one table.
 
 Only the prime sieve and the gcd-class counts of a prime sweep
 (`prime_segment`, `_gcd_tables`, `gcd_classes`) work on arrays; they
@@ -49,17 +50,27 @@ _TABLE_CAP = 2**16
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+def int_text(v: int) -> str:
+    """v in decimal, or its bit length, as <N-bit int>, when v is past
+    Python's int-to-str limit (sys.get_int_max_str_digits())."""
+    try:
+        return str(v)
+    except ValueError:
+        return f"{'-' * (v < 0)}<{v.bit_length()}-bit int>"
+
+
+def check_range(value: int, name: str, lo: int, hi: int | None = None) -> None:
+    """Refuse, by name, bound and value, an int outside [lo, hi] (hi None: no cap)."""
+    if lo <= value and (hi is None or value <= hi):
+        return
+    cap = {MAX_INPUT: "2**63 - 1", 2**31: "2**31"}.get(hi, hi)
+    bound = f">= {lo}" if value < lo else f"at most {cap}"
+    raise InputRangeError(f"{name} must be {bound}, got {int_text(value)}")
+
+
 def check_positive(m: int, name: str = "m") -> None:
     """Refuse, by name, an m outside [1, 2**63 - 1]."""
-    if not 1 <= m <= MAX_INPUT:
-        raise InputRangeError(f"{name} must be in [1, 2**63 - 1], got {m}")
-
-
-def check_r(r: int) -> None:
-    """Refuse a period r outside [1, 2**63 - 1]: the one check of r."""
-    if not 1 <= r <= MAX_INPUT:
-        bound = ">= 1" if r < 1 else "at most 2**63 - 1"
-        raise InputRangeError(f"r must be {bound}, got {r}")
+    check_range(m, name, 1, MAX_INPUT)
 
 
 def is_prime(m: int) -> bool:
@@ -171,7 +182,7 @@ def mobius_terms(r: int) -> tuple[tuple[int, int], ...]:
     Cached: a sweep over many (q, n) asks for the same few hundred r
     again and again.
     """
-    check_r(r)
+    check_positive(r, "r")
     terms = [(1, 1)]
     for p, _ in factorize(r):
         terms += [(-mu, d * p) for mu, d in terms]
@@ -251,8 +262,7 @@ def coprime_part(m: int, n: int) -> int:
 
 def max_exponent(n: int) -> int:
     """Largest r with n**r - 1 <= 2**63 - 1 (n >= 2); 0 if there is none."""
-    if n < 2:
-        raise InputRangeError(f"n must be >= 2, got {n}")
+    check_range(n, "n", 2)
     r = 0
     while n ** (r + 1) - 1 <= MAX_INPUT:
         r += 1
@@ -270,6 +280,7 @@ def mobius_moduli(r: int, n: int) -> tuple[tuple[int, int], ...]:
     cap = max_exponent(n)
     if r > cap:
         limit = f"the largest admissible r is {cap}" if cap else "no r is admissible"
+        n = int_text(n)
         raise InputRangeError(f"n**r - 1 exceeds 2**63 - 1; for n = {n} {limit}")
     return tuple((mu, n**k - 1) for mu, k in mobius_terms(r))
 
@@ -277,7 +288,7 @@ def mobius_moduli(r: int, n: int) -> tuple[tuple[int, int], ...]:
 def check_sieve_bound(t: int) -> None:
     """Refuse, as a resource cap, a sieve bound past SIEVE_CAP."""
     if t > SIEVE_CAP:
-        raise ResourceCapError(f"sieve bound {t} exceeds the cap {SIEVE_CAP}")
+        raise ResourceCapError(f"sieve bound {int_text(t)} exceeds the cap {SIEVE_CAP}")
 
 
 def prime_segment(lo: int, hi: int, base: list[int]) -> np.ndarray:
@@ -326,9 +337,8 @@ def primes_up_to(t: int) -> list[int]:
     One prime_segment over [0, t + 1), with the base primes up to
     isqrt(t) from primes_up_to itself; below 25 none are needed.
     """
+    check_range(t, "t", 0)
     check_sieve_bound(t)
-    if t < 0:
-        raise InputRangeError(f"sieve bound must be nonnegative, got {t}")
     base = primes_up_to(math.isqrt(t)) if t >= 25 else []
     return prime_segment(0, t + 1, base).tolist()
 
@@ -403,10 +413,10 @@ def gcd_classes(values: np.ndarray, s: int, m: int) -> list[tuple[int, int]]:
 def check_prime_power(q: int) -> tuple[int, int]:
     """(p, s) with q = p**s; InputRangeError naming q when there is none."""
     if q > MAX_INPUT:
-        raise InputRangeError(f"q must be at most 2**63 - 1, got {q}")
+        raise InputRangeError(f"q must be at most 2**63 - 1, got {int_text(q)}")
     f = factorize(q) if q >= 2 else ()
     if len(f) != 1:
-        raise InputRangeError(f"q must be a prime power >= 2, got {q}")
+        raise InputRangeError(f"q must be a prime power >= 2, got {int_text(q)}")
     return f[0]
 
 

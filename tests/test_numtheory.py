@@ -9,11 +9,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from monodyn.errors import InputRangeError, ResourceCapError
+from monodyn.finite_field import make_field
+from monodyn.function_field import dirichlet_density_S, irreducible_counts
+from monodyn.mean_values import analytic_N, empirical_mean
+from monodyn.monomial import periodic_count, profile
 from monodyn.numtheory import (
     MAX_INPUT,
     SIEVE_CAP,
     SIEVE_SEGMENT,
     check_prime_power,
+    check_range,
     coprime_part,
     divisors,
     euler_phi,
@@ -489,3 +494,55 @@ class TestPrimePowers:
         assert got == [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29]
         for q, p, s in prime_powers_up_to(200):
             assert p**s == q and is_prime(p)
+
+
+class TestCheckRange:
+    @pytest.mark.parametrize(
+        "args, line",
+        [
+            ((0, "m", 1, MAX_INPUT), "m must be >= 1, got 0"),
+            ((2**63, "m", 1, MAX_INPUT), f"m must be at most 2**63 - 1, got {2**63}"),
+            ((-5, "n", 2, 2**31), "n must be >= 2, got -5"),
+            ((2**31 + 1, "q", 2, 2**31), f"q must be at most 2**31, got {2**31 + 1}"),
+            ((65, "workers", 1, 64), "workers must be at most 64, got 65"),
+            ((-1, "t", 0), "t must be >= 0, got -1"),
+        ],
+    )
+    def test_name_bound_and_value(self, args, line):
+        with pytest.raises(InputRangeError) as err:
+            check_range(*args)
+        assert str(err.value) == line
+
+    def test_in_range_accepted(self):
+        assert check_range(2**100, "t", 0) is None
+        assert check_range(MAX_INPUT, "m", 1, MAX_INPUT) is None
+
+
+# 10**5000 is past Python's default int-to-str limit of 4300 digits
+HUGE = 10**5000
+
+OVER_LIMIT = {
+    "periodic_count": lambda: periodic_count(7, 2, HUGE),
+    "make_field": lambda: make_field(HUGE),
+    "make_field_degree": lambda: make_field(2, HUGE),
+    "factorize": lambda: factorize(HUGE),
+    "check_prime_power": lambda: check_prime_power(HUGE),
+    "check_prime_power_negative": lambda: check_prime_power(-HUGE),
+    "profile": lambda: profile(HUGE, 2),
+    "mobius_moduli": lambda: mobius_moduli(1, HUGE),
+    "mobius_moduli_negative": lambda: mobius_moduli(1, -HUGE),
+    "analytic_N": lambda: analytic_N(1, HUGE, 2),
+    "primes_up_to": lambda: primes_up_to(HUGE),
+    "primes_up_to_negative": lambda: primes_up_to(-HUGE),
+    "irreducible_counts": lambda: irreducible_counts(HUGE, 3),
+    "dirichlet_density_S": lambda: dirichlet_density_S(3, HUGE),
+    "empirical_mean": lambda: empirical_mean(1, 1, 2, 1000, workers=HUGE),
+}
+
+
+class TestOverLimitInts:
+    @pytest.mark.parametrize("call", OVER_LIMIT.values(), ids=list(OVER_LIMIT))
+    def test_refused_typed_and_named_by_size(self, call):
+        with pytest.raises((InputRangeError, ResourceCapError)) as err:
+            call()
+        assert "<16610-bit int>" in str(err.value)
